@@ -49,7 +49,6 @@ bench-pr-snapshot:
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run=NONE -fuzz='^FuzzWorkerPartition$$' -fuzztime=$(FUZZTIME) ./internal/shardcoord/
-	go test -run=NONE -fuzz='^FuzzWorkerEdges$$' -fuzztime=$(FUZZTIME) ./internal/shardcoord/
 	go test -run=NONE -fuzz='^FuzzWorkerEdgesV3$$' -fuzztime=$(FUZZTIME) ./internal/shardcoord/
 	go test -run=NONE -fuzz='^FuzzLoadSegment$$' -fuzztime=$(FUZZTIME) ./internal/contentcache/
 	go test -run=NONE -fuzz='^FuzzSignaturesPost$$' -fuzztime=$(FUZZTIME) ./sigdb/

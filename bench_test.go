@@ -478,35 +478,27 @@ func BenchmarkPipelineDayOverDay(b *testing.B) {
 // 50-machine layout), with the coordinator's own stages also
 // single-threaded so any speedup comes from distribution alone. The full
 // distributed path runs — JSON marshalling, the worker HTTP handler,
-// response decoding — minus only the sockets.
-//
-// Two dispatch modes run at each fleet size:
-//
-//   - batch: partitions dispatched in one batch after dedup, pre-reduce
-//     and every reduce sweep serial on the coordinator (the pre-PR4 cost
-//     model);
-//   - stream: partitions dispatched as dedup emits them and the reduce's
-//     distance sweeps fanned out to the fleet as edge jobs.
+// response decoding — minus only the sockets. Partitions are dispatched
+// as dedup emits them and the reduce's distance sweeps fan out to the
+// fleet as edge jobs (the one dispatch mode, named mode=stream).
 //
 // Work units are dispatched sequentially while the coordinator simulates
 // the fleet schedule (arrival-aware earliest-free-shard assignment with a
 // barrier per reduce wave), so the modeled critical path — the wall-clock
 // an N-machine fleet would need for clustering + reduce — is undistorted
 // by CPU time-slicing on a small host; ns/op stays the single-host
-// wall-clock. fleet-critical-us is that model:
-//
-//	batch:  dedup (serial host) + busiest shard + serial coordinator
-//	        pre-reduce + serial reduce
-//	stream: schedule makespan (arrivals overlapped, edge waves fleet-wide)
-//	        + the coordinator's serial reduce residue
+// wall-clock. fleet-critical-us is that model: the schedule makespan
+// (arrivals overlapped, edge waves fleet-wide) plus the coordinator's
+// serial reduce residue.
 //
 // Caches are cold every iteration — the honest daily-batch regime, in
 // which the reduce's distance sweeps, not the partition clustering, are
 // the fleet's serial floor (ROADMAP PR 3 "Next targets"); workers carry
-// no verdict cache at all. Workers do carry resident sets, so streamed
-// runs exercise the locality layer: edge jobs route to the shard that
-// clustered their rows and ship 20-byte content keys over the v3 wire
-// (wire-mb / edge-wire-mb report the resulting traffic per run).
+// no verdict cache at all. Workers do carry resident sets, so runs
+// exercise the locality layer: edge jobs route to the shard that
+// clustered their rows and ship 20-byte content keys over the
+// digest-first wire (wire-mb / edge-wire-mb report the resulting traffic
+// per run).
 //
 // The synthetic stream's dedup collapses a plain day to ~50 unique
 // shapes, which leaves too little clustering work to distribute, so the
@@ -538,64 +530,50 @@ func BenchmarkPipelineSharded(b *testing.B) {
 		corpus.Add(fam.String(), ekit.Payload(fam, day-1))
 	}
 	criticalBy := make(map[string]time.Duration)
-	for _, mode := range []string{"batch", "stream"} {
-		for _, shards := range []int{1, 2, 4, 8, 16} {
-			b.Run(fmt.Sprintf("mode=%s/shards=%d", mode, shards), func(b *testing.B) {
-				workers := make([]*shardcoord.Worker, shards)
-				for i := range workers {
-					workers[i] = shardcoord.NewWorker(
-						shardcoord.WithWorkerParallelism(1),
-						shardcoord.WithWorkerResidentBudget(64<<20))
+	for _, shards := range []int{1, 2, 4, 8, 16} {
+		b.Run(fmt.Sprintf("mode=stream/shards=%d", shards), func(b *testing.B) {
+			workers := make([]*shardcoord.Worker, shards)
+			for i := range workers {
+				workers[i] = shardcoord.NewWorker(
+					shardcoord.WithWorkerParallelism(1),
+					shardcoord.WithWorkerResidentBudget(64<<20))
+			}
+			coord := shardcoord.NewCoordinator(shardcoord.NewLoopback(workers),
+				shardcoord.WithSequentialDispatch())
+			pcfg := pipeline.DefaultConfig()
+			pcfg.Workers = 1
+			pcfg.PartitionSize = 12 // many small partitions so the shared queue balances
+			pcfg.Clusterer = coord
+			coord.ScheduleTotals() // reset
+			var stats pipeline.Stats
+			var serial time.Duration
+			b.SetBytes(bytes)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pcfg.Cache = contentcache.New(256 << 20) // cold day
+				res, err := pipeline.Process(inputs, corpus, pcfg)
+				if err != nil {
+					b.Fatal(err)
 				}
-				coord := shardcoord.NewCoordinator(shardcoord.NewLoopback(workers),
-					shardcoord.WithSequentialDispatch())
-				pcfg := pipeline.DefaultConfig()
-				pcfg.Workers = 1
-				pcfg.PartitionSize = 12 // many small partitions so the shared queue balances
-				pcfg.Clusterer = coord
-				pcfg.BatchDispatch = mode == "batch"
-				coord.ScheduleTotals() // reset
-				var stats pipeline.Stats
-				var serial time.Duration
-				b.SetBytes(bytes)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					pcfg.Cache = contentcache.New(256 << 20) // cold day
-					res, err := pipeline.Process(inputs, corpus, pcfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					stats = res.Stats
-					if pcfg.BatchDispatch {
-						// Fleet timeline: dedup, then the batch, then the
-						// serial coordinator-side pre-reduce of every
-						// partition result, then the whole reduce serial on
-						// the coordinator.
-						serial += res.Stats.Tokenize + res.Stats.CoordPreReduce + res.Stats.Reduce
-					} else {
-						// Arrivals and edge waves are inside the schedule
-						// model; only the reduce residue is serial.
-						serial += res.Stats.Reduce - res.Stats.ReduceDispatch
-					}
-				}
-				b.StopTimer()
-				sched := coord.ScheduleTotals()
-				critical := (sched.Makespan + serial) / time.Duration(b.N)
-				criticalBy[b.Name()] = critical
-				b.ReportMetric(float64(critical.Microseconds()), "fleet-critical-us")
-				if base, ok := criticalBy[strings.Replace(b.Name(), "shards="+fmt.Sprint(shards), "shards=1", 1)]; ok && critical > 0 {
-					b.ReportMetric(float64(base)/float64(critical), "sharded-speedup")
-				}
-				if base, ok := criticalBy[strings.Replace(b.Name(), "mode=stream", "mode=batch", 1)]; ok && critical > 0 && mode == "stream" {
-					b.ReportMetric(float64(base)/float64(critical), "vs-batch")
-				}
-				b.ReportMetric(float64(sched.EdgeUnits)/float64(b.N), "edge-jobs")
-				b.ReportMetric(float64(stats.UniqueSequences), "uniques")
-				b.ReportMetric(float64(stats.Partitions), "partitions")
-				b.ReportMetric(float64(stats.WireBytes)/1e6, "wire-mb")
-				b.ReportMetric(float64(stats.EdgeWireBytes)/1e6, "edge-wire-mb")
-			})
-		}
+				stats = res.Stats
+				// Arrivals and edge waves are inside the schedule model;
+				// only the reduce residue is serial.
+				serial += res.Stats.Reduce - res.Stats.ReduceDispatch
+			}
+			b.StopTimer()
+			sched := coord.ScheduleTotals()
+			critical := (sched.Makespan + serial) / time.Duration(b.N)
+			criticalBy[b.Name()] = critical
+			b.ReportMetric(float64(critical.Microseconds()), "fleet-critical-us")
+			if base, ok := criticalBy[strings.Replace(b.Name(), "shards="+fmt.Sprint(shards), "shards=1", 1)]; ok && critical > 0 {
+				b.ReportMetric(float64(base)/float64(critical), "sharded-speedup")
+			}
+			b.ReportMetric(float64(sched.EdgeUnits)/float64(b.N), "edge-jobs")
+			b.ReportMetric(float64(stats.UniqueSequences), "uniques")
+			b.ReportMetric(float64(stats.Partitions), "partitions")
+			b.ReportMetric(float64(stats.WireBytes)/1e6, "wire-mb")
+			b.ReportMetric(float64(stats.EdgeWireBytes)/1e6, "edge-wire-mb")
+		})
 	}
 }
 

@@ -7,16 +7,14 @@
 // Usage:
 //
 //	evalmonth [-benign 1200] [-days 31] [-fig all|2|5|6|11|12|13|14|perf] \
-//	          [-shards N] [-dispatch stream|batch] [-cachemb 64] [-cachedir dir] \
+//	          [-shards N] [-cachemb 64] [-cachedir dir] \
 //	          [-profile js|webkit]
 //
 // -shards N routes the clustering stage through N in-process shard
 // workers over the loopback transport (the paper's 50-machine layout at
-// test scale; results are identical to -shards 0). -dispatch picks the
-// protocol: stream (default; partitions flow to workers while dedup is
-// still running and the reduce's distance sweeps fan out as edge jobs) or
-// batch (protocol v1: one batch after dedup, reduce on the coordinator) —
-// output is identical either way. -cachedir persists the month's content
+// test scale; results are identical to -shards 0): partitions flow to
+// the workers while dedup is still running and the reduce's distance
+// sweeps fan out as edge jobs. -cachedir persists the month's content
 // cache across invocations: a re-run — or the next day's run — starts
 // warm instead of cold.
 package main
@@ -54,7 +52,6 @@ func run(args []string) error {
 	cacheMB := fs.Int("cachemb", 64, "content cache budget in MiB shared across the month (0 disables)")
 	cacheDir := fs.String("cachedir", "", "persist the content cache to this directory (load at start, save at end)")
 	shards := fs.Int("shards", 0, "cluster via N loopback shard workers (0 = in-process)")
-	dispatch := fs.String("dispatch", "stream", "shard dispatch mode: stream (partitions flow while dedup runs, reduce sweeps fan out) or batch (protocol v1: one batch after dedup, reduce on the coordinator)")
 	sweep := fs.String("sweep", "", "sweep the labeling threshold for this family instead of running figures")
 	profile := fs.String("profile", "js", "ingest profile to compile the stream with; non-js profiles namespace families profile/family")
 	if err := fs.Parse(args); err != nil {
@@ -68,9 +65,6 @@ func run(args []string) error {
 	}
 	if *cacheDir != "" && *cacheMB <= 0 {
 		return fmt.Errorf("-cachedir requires -cachemb > 0")
-	}
-	if *dispatch != "stream" && *dispatch != "batch" {
-		return fmt.Errorf("-dispatch %q must be stream or batch", *dispatch)
 	}
 	if !slices.Contains(kizzle.Profiles(), *profile) {
 		return fmt.Errorf("-profile %q: unknown ingest profile (registered: %s)",
@@ -152,10 +146,6 @@ func run(args []string) error {
 		}
 		cfg.Pipeline.Clusterer = shardcoord.NewCoordinator(shardcoord.NewLoopback(workers))
 	}
-	// Applies with or without shards: the in-process path has the same
-	// streamed vs batch split, so -dispatch batch A/Bs the protocol-v1
-	// cost model at -shards 0 too instead of being silently ignored.
-	cfg.Pipeline.BatchDispatch = *dispatch == "batch"
 
 	fmt.Fprintf(os.Stderr, "running %d days at %d benign samples/day (%d shards)...\n", *days, *benign, *shards)
 	res, err := evalharness.Run(cfg)

@@ -1,8 +1,9 @@
 // Command kizzleshard is a clustering shard worker — one machine of the
 // paper's 50-machine layout. It serves POST /partition (a clustering work
-// unit dispatched by a coordinator, see internal/shardcoord) and GET
-// /healthz, and optionally keeps a disk-backed verdict cache so a
-// restarted worker retains its warm-day economics.
+// unit dispatched by a coordinator, see internal/shardcoord), POST
+// /edges3 (a digest-first reduce sweep) and GET /healthz, and optionally
+// keeps a disk-backed verdict cache so a restarted worker retains its
+// warm-day economics.
 //
 // Usage:
 //
@@ -10,10 +11,9 @@
 //
 // With -cachedir the worker loads the previous snapshot at startup and
 // saves on SIGINT/SIGTERM; corrupt snapshots degrade to a cold cache.
-// With -residentmb the worker keeps a bounded digest-addressed resident
-// set of the sequences it has seen and serves the digest-first edge
-// endpoint POST /edges3, letting an affinity-aware coordinator ship
-// 20-byte content keys instead of sequence bytes on the edge path.
+// -residentmb sizes the bounded digest-addressed resident set of the
+// sequences the worker has seen, which lets the coordinator ship 20-byte
+// content keys instead of sequence bytes on the edge path.
 package main
 
 import (
@@ -47,14 +47,17 @@ func run(args []string, ready chan<- http.Handler, quit <-chan struct{}) error {
 	workers := fs.Int("workers", runtime.GOMAXPROCS(0), "clustering parallelism per partition request")
 	cacheMB := fs.Int("cachemb", 64, "pair-verdict cache budget in MiB (0 disables)")
 	cacheDir := fs.String("cachedir", "", "directory for the persistent cache snapshot (optional)")
-	residentMB := fs.Int("residentmb", 0, "resident sequence set budget in MiB for digest-first edge jobs (0 disables /edges3)")
+	residentMB := fs.Int("residentmb", shardcoord.DefaultResidentBudget>>20, "resident sequence set budget in MiB for digest-first edge jobs")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
+	if *residentMB < 1 {
+		return fmt.Errorf("-residentmb %d must be at least 1", *residentMB)
+	}
 
-	opts := []shardcoord.WorkerOption{shardcoord.WithWorkerParallelism(*workers)}
-	if *residentMB > 0 {
-		opts = append(opts, shardcoord.WithWorkerResidentBudget(*residentMB<<20))
+	opts := []shardcoord.WorkerOption{
+		shardcoord.WithWorkerParallelism(*workers),
+		shardcoord.WithWorkerResidentBudget(*residentMB << 20),
 	}
 	var cache *contentcache.Cache
 	if *cacheMB > 0 {

@@ -53,8 +53,8 @@ func TestWorkerServesPartition(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
-	if len(resp.Clusters) != 1 || len(resp.Noise) != 1 {
-		t.Fatalf("clusters=%v noise=%v", resp.Clusters, resp.Noise)
+	if r := resp.Reduced; len(r.Clusters) != 1 || len(r.Reps) != 1 || len(r.Noise) != 1 {
+		t.Fatalf("summary = %+v", r)
 	}
 
 	// Health endpoint reports cache occupancy.
@@ -135,5 +135,8 @@ func TestWorkerCachePersistsAcrossRestart(t *testing.T) {
 func TestWorkerFlagValidation(t *testing.T) {
 	if err := run([]string{"-cachemb", "0", "-cachedir", t.TempDir()}, nil, nil); err == nil {
 		t.Fatal("-cachedir without a cache budget must fail")
+	}
+	if err := run([]string{"-residentmb", "0"}, nil, nil); err == nil {
+		t.Fatal("-residentmb 0 must fail: every worker keeps a resident set")
 	}
 }

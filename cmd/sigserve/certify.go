@@ -4,14 +4,15 @@ package main
 // pipeline. With -certify, every candidate signature set the primary
 // compiler produces is recompiled from the same input corpus by a second,
 // freshly-constructed compiler driven through an intentionally different
-// execution path — in-process instead of fleet, batch instead of
-// streaming dispatch, a seeded permutation of the partition and edge
-// schedule, affinity off — and the publish lands only when the two paths
-// agree byte for byte. A compromised or flaky shard worker, a
+// execution path — in-process instead of fleet (or the same fleet on a
+// permuted shard assignment), with a seeded permutation of the reduce
+// sweeps' schedule — and the publish lands only when the two paths agree
+// byte for byte. A compromised or flaky shard worker, a
 // schedule-dependent pipeline bug, or a corrupted warm cache shows up as
 // a disagreement: the set is quarantined with both artifacts in the
 // audit log, the serving version never moves, and the operator gets both
-// sides to diff.
+// sides to diff. Only the final signature sets are compared: a byzantine
+// worker whose lie leaves the signatures unchanged certifies clean.
 
 import (
 	"crypto/sha256"
@@ -34,17 +35,14 @@ import (
 var errQuarantined = errors.New("publish quarantined: certification paths disagreed")
 
 // pathSpec describes one compile execution path. The zero value is the
-// plain in-process streaming path. Output-sensitive knobs (partition
-// fanout) must be identical across the primary and verification specs —
-// they change the compiled set by design, not by defect — while every
-// output-invariant knob (mode, dispatch, schedule seed, affinity) is
-// fair game for diversity.
+// plain in-process path. Output-sensitive knobs (partition fanout) must be
+// identical across the primary and verification specs — they change the
+// compiled set by design, not by defect — while every output-invariant
+// knob (mode, schedule seed) is fair game for diversity.
 type pathSpec struct {
-	shardURLs  []string
-	dispatch   string // "stream" (or "") / "batch"
-	fanout     int
-	noAffinity bool
-	seed       int64
+	shardURLs []string
+	fanout    int
+	seed      int64
 	// profiles lists the ingest workloads this path compiles (empty means
 	// the default JS workload). Like fanout it is output-sensitive and
 	// identical across primary and verification specs.
@@ -60,17 +58,15 @@ func (p pathSpec) mode() string {
 }
 
 // descriptor renders the spec for attestations and quarantine records.
+// Every compile streams, and every fleet routes edge jobs by residency.
 func (p pathSpec) descriptor() sigdb.PathDescriptor {
 	d := sigdb.PathDescriptor{
 		Mode:     p.mode(),
 		Shards:   len(p.shardURLs),
-		Dispatch: p.dispatch,
+		Dispatch: "stream",
+		Affinity: len(p.shardURLs) > 0,
 		Seed:     p.seed,
 	}
-	if d.Dispatch == "" {
-		d.Dispatch = "stream"
-	}
-	d.Affinity = len(p.shardURLs) > 0 && !p.noAffinity && d.Dispatch == "stream"
 	// A JS-only path keeps the pre-profile descriptor form, so existing
 	// attestation consumers see unchanged records.
 	if len(p.profiles) > 0 && !(len(p.profiles) == 1 && p.profiles[0] == "js") {
@@ -85,14 +81,8 @@ func (p pathSpec) options() []kizzle.Option {
 	if len(p.shardURLs) > 0 {
 		opts = append(opts, kizzle.WithShardWorkers(p.shardURLs...))
 	}
-	if p.dispatch == "batch" {
-		opts = append(opts, kizzle.WithBatchDispatch())
-	}
 	if p.fanout > 0 {
 		opts = append(opts, kizzle.WithPartitionFanout(p.fanout))
-	}
-	if p.noAffinity {
-		opts = append(opts, kizzle.WithoutShardAffinity())
 	}
 	if p.seed != 0 {
 		opts = append(opts, kizzle.WithScheduleSeed(p.seed))
@@ -119,20 +109,16 @@ type certConfig struct {
 	verify pathSpec
 }
 
-// verifyPathSpec derives the verification path from the primary: flip
-// the dispatch mode, permute the schedule, and — in fleet mode — invert
-// affinity, while pinning the output-sensitive fanout. mode selects
+// verifyPathSpec derives the verification path from the primary: permute
+// the schedule while pinning the output-sensitive fanout. mode selects
 // where the verifier runs: "inprocess" (the strongest diversity against
-// a misbehaving fleet: no worker touches the second compile) or "fleet"
-// (re-dispatches across the same workers on a permuted, affinity-less
-// schedule, so no worker sees the same units in the same role twice).
+// a misbehaving fleet: no worker touches the second compile, and the
+// seed reorders the reduce sweeps of an in-process primary) or "fleet"
+// (re-dispatches across the same workers on a permuted shard assignment
+// and edge-job composition, so no worker sees the same units in the same
+// role twice).
 func verifyPathSpec(primary pathSpec, mode string, seed int64) (pathSpec, error) {
 	v := pathSpec{fanout: primary.fanout, seed: seed, profiles: primary.profiles}
-	if primary.dispatch == "batch" {
-		v.dispatch = "stream"
-	} else {
-		v.dispatch = "batch"
-	}
 	switch mode {
 	case "inprocess":
 	case "fleet":
@@ -140,7 +126,6 @@ func verifyPathSpec(primary pathSpec, mode string, seed int64) (pathSpec, error)
 			return pathSpec{}, fmt.Errorf("-certverify fleet requires -shards")
 		}
 		v.shardURLs = primary.shardURLs
-		v.noAffinity = !primary.noAffinity
 	default:
 		return pathSpec{}, fmt.Errorf("-certverify %q must be inprocess or fleet", mode)
 	}

@@ -46,11 +46,11 @@ func referenceDigest(t *testing.T, samplesDir, knownDir string) string {
 }
 
 // TestCertificationDifferential runs a certified publish over every
-// path-diversity axis — in-process vs fleet at 1/2/4 shards, stream vs
-// batch dispatch on the same fleet, permuted vs canonical schedule, and
-// affinity vs none — and requires each pair to agree bit-identically
-// with each other and with the in-process reference, landing version 1
-// with a signed attestation that records both path descriptors.
+// path-diversity axis — {in-process, fleet at 1/2/4 shards} ×
+// {canonical, permuted schedule} — and requires each pair to agree
+// bit-identically with each other and with the in-process reference,
+// landing version 1 with a signed attestation that records both path
+// descriptors.
 func TestCertificationDifferential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the synthetic day twice per case")
@@ -64,12 +64,12 @@ func TestCertificationDifferential(t *testing.T) {
 		primary pathSpec
 		verify  pathSpec
 	}{
-		{"fleet1_vs_inprocess", pathSpec{shardURLs: urls[:1]}, pathSpec{dispatch: "batch", seed: 11}},
-		{"fleet2_vs_inprocess", pathSpec{shardURLs: urls[:2]}, pathSpec{dispatch: "batch", seed: 11}},
-		{"fleet4_vs_inprocess", pathSpec{shardURLs: urls[:4]}, pathSpec{dispatch: "batch", seed: 11}},
-		{"stream_vs_batch", pathSpec{shardURLs: urls[:2]}, pathSpec{shardURLs: urls[:2], dispatch: "batch", noAffinity: true, seed: 11}},
+		{"fleet1_vs_inprocess", pathSpec{shardURLs: urls[:1]}, pathSpec{seed: 11}},
+		{"fleet2_vs_inprocess", pathSpec{shardURLs: urls[:2]}, pathSpec{seed: 11}},
+		{"fleet4_vs_inprocess", pathSpec{shardURLs: urls[:4]}, pathSpec{seed: 11}},
 		{"permuted_vs_canonical", pathSpec{shardURLs: urls[:2], seed: 99}, pathSpec{shardURLs: urls[:2]}},
-		{"affinity_vs_none", pathSpec{shardURLs: urls[:2]}, pathSpec{shardURLs: urls[:2], noAffinity: true}},
+		{"inprocess_canonical_vs_permuted", pathSpec{}, pathSpec{seed: defaultCertSeed}},
+		{"fleet4_permuted_vs_inprocess", pathSpec{shardURLs: urls[:4], seed: 99}, pathSpec{}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,19 +109,19 @@ func TestCertificationDifferential(t *testing.T) {
 }
 
 // TestVerifyPathSpec pins the flag-level derivation of the verification
-// path from the primary: dispatch always flips, fanout (output-sensitive)
-// is always pinned, fleet mode requires shards and inverts affinity, and
-// unknown modes are rejected.
+// path from the primary: the seed always applies, fanout
+// (output-sensitive) is always pinned, fleet mode requires shards and
+// reuses them, and unknown modes are rejected.
 func TestVerifyPathSpec(t *testing.T) {
 	fleet := pathSpec{shardURLs: []string{"http://a", "http://b"}, fanout: 3}
 	v, err := verifyPathSpec(fleet, "inprocess", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.mode() != "in-process" || v.dispatch != "batch" || v.fanout != 3 || v.seed != 7 {
+	if v.mode() != "in-process" || v.fanout != 3 || v.seed != 7 {
 		t.Errorf("inprocess verify spec = %+v", v)
 	}
-	if got := v.descriptor().String(); got != "in-process/batch/seed=7" {
+	if got := v.descriptor().String(); got != "in-process/stream/seed=7" {
 		t.Errorf("descriptor = %q", got)
 	}
 
@@ -129,16 +129,14 @@ func TestVerifyPathSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.mode() != "fleet" || v.dispatch != "batch" || !v.noAffinity {
+	if v.mode() != "fleet" || len(v.shardURLs) != 2 || v.fanout != 3 || v.seed != 7 {
 		t.Errorf("fleet verify spec = %+v", v)
+	}
+	if got := v.descriptor().String(); got != "fleet/2/stream/affinity/seed=7" {
+		t.Errorf("fleet verify descriptor = %q", got)
 	}
 	if got := fleet.descriptor().String(); got != "fleet/2/stream/affinity" {
 		t.Errorf("primary descriptor = %q", got)
-	}
-
-	batchPrimary := pathSpec{shardURLs: fleet.shardURLs, dispatch: "batch"}
-	if v, err = verifyPathSpec(batchPrimary, "fleet", 0); err != nil || v.dispatch != "stream" {
-		t.Errorf("batch primary must verify over stream dispatch: %+v err=%v", v, err)
 	}
 
 	if _, err := verifyPathSpec(pathSpec{}, "fleet", 0); err == nil {
@@ -150,10 +148,10 @@ func TestVerifyPathSpec(t *testing.T) {
 }
 
 // tamperableWorker wraps a real shard worker and, when armed, answers
-// /partition with a fabricated result: every sequence folded into one
+// /partition with a fabricated summary: every sequence folded into one
 // giant cluster. The response is well-formed — indices cover the
 // partition exactly once, the representative is a member — so it passes
-// the coordinator's wire validation; only a recompile through an
+// the pipeline's wire validation; only a recompile through an
 // independent path can tell it lied. Every other endpoint (edge sweeps,
 // resident-set fills) passes through to the real worker.
 type tamperableWorker struct {
@@ -180,12 +178,8 @@ func (tw *tamperableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	for i := range all {
 		all[i] = i
 	}
-	var resp shardcoord.PartitionResponse
-	if req.PreReduce {
-		resp.Reduced = &pipeline.ReducedPartition{Clusters: [][]int{all}, Reps: []int{0}, Noise: []int{}}
-	} else {
-		resp.Clusters = [][]int{all}
-		resp.Noise = []int{}
+	resp := shardcoord.PartitionResponse{
+		Reduced: pipeline.ReducedPartition{Clusters: [][]int{all}, Reps: []int{0}, Noise: []int{}},
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(&resp)
@@ -195,25 +189,36 @@ func (tw *tamperableWorker) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // acceptance scenario of the certification layer end to end:
 //
 //  1. a clean certified publish lands v1;
-//  2. one of the two workers starts answering /partition with fabricated
-//     (but wire-valid) clusters while the corpus gains a day — the
-//     primary fleet compile is now wrong, the in-process verification
-//     compile is not, so the publish quarantines: v1 keeps serving, both
-//     artifacts and the disagreement land on the persistent audit log,
-//     and a strict client polling the store sees no update at all;
-//  3. the worker heals and the next recompile publishes v2, attested.
+//  2. both workers start answering /partition with fabricated (but
+//     wire-valid) summaries while the corpus gains a day — every
+//     partition of the primary fleet compile is now wrong, whichever
+//     worker pulls it, while the in-process verification compile is not,
+//     so the publish quarantines: v1 keeps serving, both artifacts and
+//     the disagreement land on the persistent audit log, and a strict
+//     client polling the store sees no update at all;
+//  3. the workers heal and the next recompile publishes v2, attested.
 func TestCertificationQuarantine(t *testing.T) {
 	if testing.Short() {
 		t.Skip("compiles the synthetic day several times")
 	}
 	samplesDir, knownDir := writeCorpus(t)
 
-	tamper := &tamperableWorker{real: shardcoord.NewWorker().Handler()}
-	tamperSrv := httptest.NewServer(tamper)
-	t.Cleanup(tamperSrv.Close)
-	honest := httptest.NewServer(shardcoord.NewWorker().Handler())
-	t.Cleanup(honest.Close)
-	urls := []string{tamperSrv.URL, honest.URL}
+	// Every primary-path worker is tamperable: with a shared pull queue,
+	// whether a lone liar is handed any partition would be a race.
+	var tampers []*tamperableWorker
+	var urls []string
+	for i := 0; i < 2; i++ {
+		tw := &tamperableWorker{real: shardcoord.NewWorker().Handler()}
+		srv := httptest.NewServer(tw)
+		t.Cleanup(srv.Close)
+		tampers = append(tampers, tw)
+		urls = append(urls, srv.URL)
+	}
+	arm := func(on bool) {
+		for _, tw := range tampers {
+			tw.armed.Store(on)
+		}
+	}
 
 	storePath := filepath.Join(t.TempDir(), "sigs.json")
 	store, err := sigdb.Open(storePath)
@@ -223,7 +228,7 @@ func TestCertificationQuarantine(t *testing.T) {
 	key := []byte("quarantine-drill-key")
 	store.SetCertKey(key)
 	primary := pathSpec{shardURLs: urls}
-	verify := pathSpec{dispatch: "batch", seed: defaultCertSeed}
+	verify := pathSpec{seed: defaultCertSeed}
 	pub, err := newPublisher(store, samplesDir, knownDir, "", primary, &certConfig{verify: verify})
 	if err != nil {
 		t.Fatal(err)
@@ -261,7 +266,7 @@ func TestCertificationQuarantine(t *testing.T) {
 	// Phase 2: arm the tamper and move the corpus forward a day, so the
 	// next cycle must genuinely re-cluster (and would publish v2 if both
 	// paths agreed).
-	tamper.armed.Store(true)
+	arm(true)
 	day := synth.Date(time.August, 6)
 	cfg := synth.DefaultConfig()
 	cfg.BenignPerDay = 20
@@ -342,8 +347,8 @@ func TestCertificationQuarantine(t *testing.T) {
 		t.Error("embedded artifacts do not hash to the recorded digests")
 	}
 
-	// Phase 3: the worker heals; the next cycle certifies and publishes.
-	tamper.armed.Store(false)
+	// Phase 3: the workers heal; the next cycle certifies and publishes.
+	arm(false)
 	st, err = pub.recompile()
 	if err != nil {
 		t.Fatalf("post-recovery recompile: %v", err)

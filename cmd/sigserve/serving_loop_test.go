@@ -17,6 +17,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -272,12 +273,29 @@ func TestServingLoopWorkerDeath(t *testing.T) {
 	}
 
 	// Worker 0 is healthy; worker 1 serves two work units and then dies
-	// mid-recompile (connection-level failure from then on).
-	healthy := httptest.NewServer(shardcoord.NewWorker().Handler())
-	t.Cleanup(healthy.Close)
+	// mid-recompile (connection-level failure from then on). The healthy
+	// worker holds its first response until worker 1 has died, so the
+	// shared pull queue must hand worker 1 its third unit whatever the
+	// scheduling — the death is part of every run, not a race.
 	var served atomic.Int64
+	died := make(chan struct{})
+	var dieOnce sync.Once
+	healthyWorker := shardcoord.NewWorker().Handler()
+	var first atomic.Bool
+	healthy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if first.CompareAndSwap(false, true) {
+			select {
+			case <-died:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		healthyWorker.ServeHTTP(w, r)
+	}))
+	t.Cleanup(healthy.Close)
+	dyingWorker := shardcoord.NewWorker().Handler()
 	dying := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if served.Add(1) > 2 {
+			dieOnce.Do(func() { close(died) })
 			// Drop the connection without a response, as a crashed
 			// process would.
 			if hj, ok := w.(http.Hijacker); ok {
@@ -289,7 +307,7 @@ func TestServingLoopWorkerDeath(t *testing.T) {
 			http.Error(w, "worker dead", http.StatusServiceUnavailable)
 			return
 		}
-		shardcoord.NewWorker().Handler().ServeHTTP(w, r)
+		dyingWorker.ServeHTTP(w, r)
 	}))
 	t.Cleanup(dying.Close)
 

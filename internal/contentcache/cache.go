@@ -36,6 +36,9 @@ type shard struct {
 	m     map[Key]entry
 	order []Key // FIFO eviction order
 	bytes int
+	// inflight holds one channel per key a GetOrCompute is working on,
+	// closed when that call finishes.
+	inflight map[Key]chan struct{}
 }
 
 // Cache is a bounded, sharded, verified content-addressed store. A nil
@@ -93,6 +96,49 @@ func (c *Cache) Get(key Key, content string) (any, bool) {
 	}
 	c.hits.Add(1)
 	return e.value, true
+}
+
+// GetOrCompute is a single-flighted read-modify-write of one entry. fill
+// receives the value cached for (key, content) — (nil, false) on a miss —
+// and returns the value to hand back, its retained-size estimate (as for
+// PutSized), and whether to store it. Calls for one key run one at a
+// time: when several goroutines miss the same key, the first computes and
+// stores it and the others then read that value as a hit, so the work is
+// done — and the miss counted — once, however the calls were scheduled.
+// fill may call GetOrCompute for other keys, never for its own.
+func (c *Cache) GetOrCompute(key Key, content string, fill func(cached any, hit bool) (value any, valueBytes int, store bool)) any {
+	if c == nil {
+		value, _, _ := fill(nil, false)
+		return value
+	}
+	s := c.shard(key)
+	done := make(chan struct{})
+	for {
+		s.mu.Lock()
+		busy, ok := s.inflight[key]
+		if !ok {
+			if s.inflight == nil {
+				s.inflight = make(map[Key]chan struct{})
+			}
+			s.inflight[key] = done
+			s.mu.Unlock()
+			break
+		}
+		s.mu.Unlock()
+		<-busy
+	}
+	defer func() {
+		s.mu.Lock()
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		close(done)
+	}()
+	cached, hit := c.Get(key, content)
+	value, valueBytes, store := fill(cached, hit)
+	if store {
+		c.PutSized(key, content, value, valueBytes)
+	}
+	return value
 }
 
 // Put stores value for (key, content), charging only the content against

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -144,6 +145,52 @@ func TestCacheConcurrent(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// TestGetOrComputeSingleFlight races many goroutines onto one missing
+// key: the value must be computed once, the miss counted once, and every
+// other caller must read the computed value as a hit.
+func TestGetOrComputeSingleFlight(t *testing.T) {
+	c := New(1 << 20)
+	k := KeyOf(1, "doc")
+	var computed atomic.Int64
+	release := make(chan struct{})
+	const callers = 8
+	var wg sync.WaitGroup
+	for w := 0; w < callers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := c.GetOrCompute(k, "doc", func(cached any, hit bool) (any, int, bool) {
+				if hit {
+					return cached, 0, false
+				}
+				computed.Add(1)
+				<-release // hold the flight so the others pile up behind it
+				return "value", 0, true
+			})
+			if v.(string) != "value" {
+				t.Errorf("caller got %v", v)
+			}
+		}()
+	}
+	close(release)
+	wg.Wait()
+	if n := computed.Load(); n != 1 {
+		t.Fatalf("computed %d times, want 1", n)
+	}
+	if st := c.Stats(); st.Misses != 1 || st.Hits != callers-1 {
+		t.Fatalf("stats = %+v, want 1 miss and %d hits", st, callers-1)
+	}
+	// A refusing fill leaves the entry alone; a nil cache just computes.
+	c.GetOrCompute(KeyOf(1, "other"), "other", func(any, bool) (any, int, bool) { return "x", 0, false })
+	if _, ok := c.Get(KeyOf(1, "other"), "other"); ok {
+		t.Fatal("store=false still stored the value")
+	}
+	var nilCache *Cache
+	if v := nilCache.GetOrCompute(k, "doc", func(_ any, hit bool) (any, int, bool) { return hit, 0, true }); v.(bool) {
+		t.Fatal("nil cache reported a hit")
+	}
 }
 
 func BenchmarkDigest(b *testing.B) {

@@ -27,9 +27,8 @@
 //     representatives, noise re-cluster, straggler adoption — the step
 //     the paper calls the serial bottleneck. Its three distance sweeps
 //     run through the same seam as clustering: in-process by default,
-//     fanned out to the fleet as EdgeJob work units under a
-//     StreamClusterer, leaving the coordinator only union-find and
-//     bookkeeping;
+//     fanned out to the fleet as EdgeJob work units under a Clusterer,
+//     leaving the coordinator only union-find and bookkeeping;
 //   - label: unpack the prototype, winnow-fingerprint it, sweep the
 //     known-kit corpus. The sweep is family-sliced: the Corpus keeps a
 //     content-derived generation per family, cached verdicts carry one
@@ -40,7 +39,11 @@
 // Config.Cache threads a contentcache.Cache through every stage so a day
 // N+1 batch pays only for novel content; CacheCodecs supplies the disk
 // codecs that make that cache survive restarts (contentcache.Save/Load).
-// Caching, sharding, and dispatch mode (streaming vs Config.BatchDispatch,
-// shard-side vs Config.DisableShardPreReduce pre-reduce) are pinned by
+// The per-cluster stages read it through contentcache's single-flighted
+// GetOrCompute, so a key raced by several workers is computed — and its
+// miss counted — once, and Stats cache counters are deterministic at any
+// GOMAXPROCS.
+// Caching, sharding, and the schedule (Config.ScheduleSeed permutes the
+// reduce sweeps and the fleet's shard assignment) are pinned by
 // differential tests to never change pipeline output.
 package pipeline

@@ -88,15 +88,6 @@ type Config struct {
 	// MaxNoiseRecluster caps the reduce step's global re-clustering of
 	// partition-level noise (0 disables the cap).
 	MaxNoiseRecluster int
-	// NoiseChunk, when positive, splits a noise pool larger than one chunk
-	// into fixed-size chunks in content-digest order and re-clusters each
-	// chunk independently — bounding the reduce's quadratic noise sweep at
-	// provider scale (chunked pools bypass MaxNoiseRecluster). Cross-chunk
-	// noise pairs go untested; straggler adoption still sees the full
-	// leftover pool. Digest ordering keeps chunk membership a pure function
-	// of content, so the output stays independent of shard count and
-	// scheduling. 0 (the default) disables chunking.
-	NoiseChunk int
 	// MaxSignatureSamples caps how many cluster samples feed signature
 	// generalization.
 	MaxSignatureSamples int
@@ -108,48 +99,31 @@ type Config struct {
 	// cache disables cross-run reuse; in-run duplicate collapsing still
 	// happens.
 	Cache *contentcache.Cache
-	// Clusterer, when non-nil, runs the partition-clustering stage through
-	// an external dispatcher — the paper's 50-machine layout. Partitions
-	// are handed out as ShardPartition work units and the results merged
-	// back before the reduce step; output is identical to in-process
-	// clustering (see internal/shardcoord for the HTTP coordinator/worker
-	// implementation). Dispatchers that also implement StreamClusterer
-	// receive partitions while dedup is still running and host the reduce
-	// step's distance sweeps as edge jobs. Nil clusters in-process across
-	// Workers goroutines.
+	// Clusterer, when non-nil, runs the clustering stage's work units
+	// through an external dispatcher — the paper's 50-machine layout.
+	// Partitions stream to it while dedup is still running and the reduce
+	// step's distance sweeps follow as edge jobs; output is identical to
+	// in-process clustering (see internal/shardcoord for the HTTP
+	// coordinator/worker implementation). Nil runs every unit in-process
+	// across Workers goroutines.
 	Clusterer Clusterer
-	// BatchDispatch disables streaming: partitions are collected and
-	// dispatched in one batch after dedup completes, and the reduce
-	// sweeps stay on the coordinator — the pre-streaming cost model,
-	// kept for profiling A/B runs and protocol-v1 fleets. Output is
-	// identical either way.
-	BatchDispatch bool
-	// DisableShardPreReduce keeps the per-partition pre-reduce on the
-	// coordinator instead of asking shard workers for it (protocol v2).
-	// Output is identical; the knob only shifts where the work runs.
-	DisableShardPreReduce bool
 	// ScheduleSeed, when nonzero, applies a seeded deterministic
-	// permutation to the streamed reduce sweeps' row order before edge
-	// jobs are composed (and, at the shard coordinator, to the pull
-	// queue's shard assignment). Both levers are output-invariant by
-	// construction — every unordered pair still lands in exactly one edge
-	// job and results are matched back by sequence number — so a
-	// certification verifier can recompile through a genuinely different
-	// schedule and still demand bit-identical output. 0 (the default)
-	// keeps the canonical schedule.
+	// permutation to the reduce sweeps' row and col orders (in-process and
+	// on a fleet, where it also reshapes every edge job) and, at the shard
+	// coordinator, to the pull queue's shard assignment. Both levers are
+	// output-invariant by construction — every unordered pair is still
+	// tested exactly once and results are matched back by position and
+	// sequence number — so a certification verifier can recompile through
+	// a genuinely different schedule and still demand bit-identical
+	// output. 0 (the default) keeps the canonical schedule.
 	ScheduleSeed int64
 	// ShardWorkers lists remote shard-worker base URLs. The field is not
 	// consumed by the pipeline itself: the top-level constructor
 	// (kizzle.New) builds an HTTP coordinator over the URLs after all
-	// options are applied, so affinity and schedule knobs set by later
-	// options compose with the fleet instead of depending on option
-	// order. Ignored when Clusterer is already set.
+	// options are applied, so the schedule seed set by a later option
+	// composes with the fleet instead of depending on option order.
+	// Ignored when Clusterer is already set.
 	ShardWorkers []string
-	// ShardNoAffinity disables the shard coordinator's locality layer
-	// (affinity routing and the digest-first v3 edge wire) when kizzle.New
-	// constructs one from ShardWorkers. Output is identical either way —
-	// it is a differential-testing and certification-path lever.
-	ShardNoAffinity bool
 	// Profile selects the ingest front-end (tokenizer, streaming symbol
 	// lexer, unpacker, alphabet). Nil means the default JS exploit-kit
 	// profile, bit-identical to the pre-profile pipeline.
@@ -251,14 +225,14 @@ type Stats struct {
 	// Purely observational — sweep counts never affect labels.
 	LabelSweeps int
 	// EdgeJobs counts the reduce-step distance sweeps dispatched to shard
-	// workers as edge work units (zero for in-process and batch runs).
+	// workers as edge work units (zero for in-process runs).
 	EdgeJobs int
 	// WireBytes is what this run actually shipped to the shard fleet and
 	// got back — request plus response bodies of every successful
-	// /partition and /edges (v2 or digest-first v3) round trip.
-	// EdgeWireBytes is the /edges share, the number the affinity wire
-	// cache exists to shrink. Both are zero when the dispatcher does not
-	// expose wire accounting (in-process runs, custom transports).
+	// /partition and /edges3 round trip. EdgeWireBytes is the /edges3
+	// share, the number the workers' resident sets exist to shrink. Both
+	// are zero when the dispatcher does not expose wire accounting
+	// (in-process runs, custom transports).
 	WireBytes     int64
 	EdgeWireBytes int64
 	// CacheHits / CacheMisses are this run's content-cache lookups (zero
@@ -277,15 +251,9 @@ type Stats struct {
 	Label     time.Duration
 	Signature time.Duration
 	// ReduceDispatch is the part of Reduce spent blocked on distance
-	// sweeps dispatched to the fleet (zero for in-process and batch runs);
-	// Reduce minus ReduceDispatch is the coordinator's serial residue.
+	// sweeps dispatched to the fleet (zero for in-process runs); Reduce
+	// minus ReduceDispatch is the coordinator's serial residue.
 	ReduceDispatch time.Duration
-	// CoordPreReduce is the part of Cluster the coordinator spent
-	// serially pre-reducing partition results — nonzero only under batch
-	// (protocol v1) dispatch through a Clusterer, where that work cannot
-	// run shard-side. Fleet cost models must count it as coordinator
-	// serial time.
-	CoordPreReduce time.Duration
 }
 
 // Result is the output of one pipeline run.
@@ -369,17 +337,16 @@ func Process(inputs []Input, corpus *Corpus, cfg Config) (Result, error) {
 	// Stage 4: hierarchical reduce over the pre-reduced partition
 	// summaries — representative merge, noise re-clustering, straggler
 	// adoption — with the distance sweeps running through the session
-	// (in-process, or fanned out to the fleet as edge jobs).
+	// (in-process, or fanned out to the fleet as edge jobs) on the
+	// configured schedule.
 	start = time.Now()
 	weightOf := func(ui int) int { return outcome.emitWeight[ui] }
-	digestOf := func(ui int) uint64 { return uniq.ids[ui].h1 }
-	merged, remaining, err := reduceSummaries(sums, weightOf, digestOf, cfg, sess.edges)
+	merged, remaining, err := reduceSummaries(sums, weightOf, cfg, scheduledEdges(cfg.ScheduleSeed, sess.edges))
 	if err != nil {
 		return Result{}, fmt.Errorf("pipeline: reduce: %w", err)
 	}
 	res.Stats.Reduce = time.Since(start)
 	res.Stats.EdgeJobs, res.Stats.ReduceDispatch = sess.edgeStats()
-	res.Stats.CoordPreReduce = sess.preReduceTime()
 	res.Stats.NoisePoints = 0
 	for _, u := range remaining {
 		res.Stats.NoisePoints += len(uniq.members[u])
@@ -435,7 +402,7 @@ func Process(inputs []Input, corpus *Corpus, cfg Config) (Result, error) {
 
 // wireByteser is the optional wire-accounting seam a dispatcher can
 // implement (shardcoord.Coordinator does): cumulative bytes shipped over
-// all successful round trips, total and /edges-only.
+// all successful round trips, total and /edges3-only.
 type wireByteser interface {
 	WireBytes() (total, edges int64)
 }
@@ -515,17 +482,18 @@ type unpackEntry struct {
 // unpacker: a prototype seen on any previous day is never re-unpacked.
 func unpackCached(p ingest.Profile, cache *contentcache.Cache, content string) unpackEntry {
 	key := contentcache.KeyOf(profiledKind(kindUnpack, p), content)
-	if v, ok := cache.Get(key, content); ok {
-		return v.(unpackEntry)
-	}
-	var e unpackEntry
-	if res, err := p.Unpack(content); err == nil {
-		e = unpackEntry{payload: res.Payload, method: res.Method}
-	} else {
-		e = unpackEntry{payload: p.ExtractScripts(content)}
-	}
-	cache.PutSized(key, content, e, len(e.payload))
-	return e
+	return cache.GetOrCompute(key, content, func(cached any, hit bool) (any, int, bool) {
+		if hit {
+			return cached, 0, false
+		}
+		var e unpackEntry
+		if res, err := p.Unpack(content); err == nil {
+			e = unpackEntry{payload: res.Payload, method: res.Method}
+		} else {
+			e = unpackEntry{payload: p.ExtractScripts(content)}
+		}
+		return e, len(e.payload), true
+	}).(unpackEntry)
 }
 
 // fingerprintEntry pairs a cached histogram with the winnow configuration
@@ -541,18 +509,19 @@ type fingerprintEntry struct {
 // of a full fingerprint pass. scratch may be nil for one-off calls.
 func FingerprintCached(cache *contentcache.Cache, scratch *winnow.Scratch, text string, cfg winnow.Config) winnow.Histogram {
 	key := contentcache.KeyOf(kindFingerprint, text)
-	if v, ok := cache.Get(key, text); ok {
-		if e := v.(fingerprintEntry); e.cfg == cfg {
-			return e.hist
+	return cache.GetOrCompute(key, text, func(cached any, hit bool) (any, int, bool) {
+		if hit {
+			if e := cached.(fingerprintEntry); e.cfg == cfg {
+				return e, 0, false
+			}
 		}
-	}
-	if scratch == nil {
-		scratch = new(winnow.Scratch)
-	}
-	hist := scratch.Fingerprint(text, cfg)
-	// ~48 bytes per map entry (key, value, bucket overhead).
-	cache.PutSized(key, text, fingerprintEntry{cfg: cfg, hist: hist}, 48*len(hist))
-	return hist
+		if scratch == nil {
+			scratch = new(winnow.Scratch)
+		}
+		hist := scratch.Fingerprint(text, cfg)
+		// ~48 bytes per map entry (key, value, bucket overhead).
+		return fingerprintEntry{cfg: cfg, hist: hist}, 48 * len(hist), true
+	}).(fingerprintEntry).hist
 }
 
 // tokensCached lexes a document to its full token stream through the
@@ -562,13 +531,14 @@ func FingerprintCached(cache *contentcache.Cache, scratch *winnow.Scratch, text 
 // one slice across clusters and runs is safe.
 func tokensCached(p ingest.Profile, cache *contentcache.Cache, content string) []jstoken.Token {
 	key := contentcache.KeyOf(profiledKind(kindTokens, p), content)
-	if v, ok := cache.Get(key, content); ok {
-		return v.([]jstoken.Token)
-	}
-	tokens := p.LexDocument(content)
-	// A Token is 32 bytes — the stream dwarfs its key content.
-	cache.PutSized(key, content, tokens, 32*len(tokens))
-	return tokens
+	return cache.GetOrCompute(key, content, func(cached any, hit bool) (any, int, bool) {
+		if hit {
+			return cached, 0, false
+		}
+		tokens := p.LexDocument(content)
+		// A Token is 32 bytes — the stream dwarfs its key content.
+		return tokens, 32 * len(tokens), true
+	}).([]jstoken.Token)
 }
 
 // labelClusters unpacks each merged cluster's prototype and labels it by
@@ -632,21 +602,25 @@ type labelEntry struct {
 func bestMatchCached(cache *contentcache.Cache, scratch *winnow.Scratch, corpus *Corpus, text string) (string, float64, int) {
 	wcfg := corpus.Config()
 	key := contentcache.KeyOf(kindLabel, text)
-	var prior []FamilyVerdict
-	if v, ok := cache.Get(key, text); ok {
-		if e := v.(labelEntry); e.cfg == wcfg {
-			prior = e.verdicts
+	var family string
+	var overlap float64
+	var swept int
+	cache.GetOrCompute(key, text, func(cached any, hit bool) (any, int, bool) {
+		var prior []FamilyVerdict
+		if hit {
+			if e := cached.(labelEntry); e.cfg == wcfg {
+				prior = e.verdicts
+			}
 		}
-	}
-	hist := FingerprintCached(cache, scratch, text, wcfg)
-	verdicts, family, overlap, swept := corpus.ResolveHist(hist, prior)
-	if swept > 0 || prior == nil {
+		hist := FingerprintCached(cache, scratch, text, wcfg)
+		var verdicts []FamilyVerdict
+		verdicts, family, overlap, swept = corpus.ResolveHist(hist, prior)
 		// ResolveHist snapshots generations and overlaps under one corpus
 		// lock, so the entry is internally consistent even if the corpus
 		// moved before or after; a concurrent Add at worst makes this
 		// entry stale immediately — a future miss, never a wrong answer.
-		cache.Put(key, text, labelEntry{cfg: wcfg, verdicts: verdicts})
-	}
+		return labelEntry{cfg: wcfg, verdicts: verdicts}, 0, swept > 0 || prior == nil
+	})
 	return family, overlap, swept
 }
 
@@ -682,21 +656,25 @@ func generateSignature(cl *Cluster, inputs []Input, cfg Config) (siggen.Signatur
 	}
 	keyContent := kb.String()
 	key := contentcache.KeyOf(profiledKind(kindSignature, cfg.profile()), keyContent)
-	if v, ok := cfg.Cache.Get(key, keyContent); ok {
-		if e := v.(signatureEntry); e.cfg == cfg.Signature {
-			return e.sig, nil
+	var genErr error
+	e := cfg.Cache.GetOrCompute(key, keyContent, func(cached any, hit bool) (any, int, bool) {
+		if hit {
+			if e := cached.(signatureEntry); e.cfg == cfg.Signature {
+				return e, 0, false
+			}
 		}
-	}
-	streams := make([][]jstoken.Token, 0, len(pick))
-	for _, si := range pick {
-		streams = append(streams, tokensCached(cfg.profile(), cfg.Cache, inputs[si].Content))
-	}
-	sig, err := siggen.Generate(cl.Label, streams, cfg.Signature)
-	if err != nil {
-		return siggen.Signature{}, fmt.Errorf("cluster with %d samples: %w", len(cl.Samples), err)
-	}
-	cfg.Cache.Put(key, keyContent, signatureEntry{cfg: cfg.Signature, sig: sig})
-	return sig, nil
+		streams := make([][]jstoken.Token, 0, len(pick))
+		for _, si := range pick {
+			streams = append(streams, tokensCached(cfg.profile(), cfg.Cache, inputs[si].Content))
+		}
+		sig, err := siggen.Generate(cl.Label, streams, cfg.Signature)
+		if err != nil {
+			genErr = fmt.Errorf("cluster with %d samples: %w", len(cl.Samples), err)
+			return signatureEntry{}, 0, false
+		}
+		return signatureEntry{cfg: cfg.Signature, sig: sig}, 0, true
+	}).(signatureEntry)
+	return e.sig, genErr
 }
 
 // signatureEntry caches one generated signature with the configuration

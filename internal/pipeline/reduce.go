@@ -7,9 +7,9 @@ import (
 )
 
 // This file implements the top of the hierarchical reduce. The bottom
-// level — PreReducePartition — runs next to clustering (on the shard that
-// clustered the partition, or on the coordinator for protocol-v1 fleets)
-// and compacts each partition's result into a summary. This level merges
+// level — PreReducePartition — runs next to clustering (on the shard or
+// in-process executor that clustered the partition) and compacts each
+// partition's result into a summary. This level merges
 // the summaries: representative merge across partitions, global noise
 // re-clustering, and straggler adoption. Its three distance sweeps are
 // expressed through an edgeFunc so they can run either in-process
@@ -31,6 +31,69 @@ type summary struct {
 // position pairs — the contract sweepPairs implements.
 type edgeFunc func(rows, cols []int) ([][2]int, error)
 
+// scheduledEdges applies Config.ScheduleSeed to a session's sweeps: with a
+// nonzero seed the row and col orders are permuted before the sweep runs —
+// in-process that changes the order pairs are evaluated in; on a fleet it
+// also changes every edge job's membership and chunk boundaries — and the
+// resulting pair positions are mapped back to the caller's order. The pair
+// set itself is order-independent (every unordered pair is tested exactly
+// once under any order, and the list is re-sorted), so the permutation
+// diversifies the schedule without being able to change the output — the
+// property the certification verifier leans on. Seed 0 keeps the
+// canonical schedule.
+func scheduledEdges(seed int64, edges edgeFunc) edgeFunc {
+	if seed == 0 {
+		return edges
+	}
+	return func(rows, cols []int) ([][2]int, error) {
+		permR := SeededPerm(len(rows), uint64(seed))
+		pRows := make([]int, len(rows))
+		for i, p := range permR {
+			pRows[i] = rows[p]
+		}
+		var pCols, permC []int
+		if cols != nil {
+			permC = SeededPerm(len(cols), uint64(seed)+0x9e3779b97f4a7c15)
+			pCols = make([]int, len(cols))
+			for i, p := range permC {
+				pCols[i] = cols[p]
+			}
+		}
+		pairs, err := edges(pRows, pCols)
+		if err != nil {
+			return nil, err
+		}
+		// Map positions in the permuted orders back to the caller's
+		// positions, re-establishing the ascending-pair contract for
+		// triangular sweeps.
+		for i, pr := range pairs {
+			a := permR[pr[0]]
+			var b int
+			if cols == nil {
+				b = permR[pr[1]]
+				if a > b {
+					a, b = b, a
+				}
+			} else {
+				b = permC[pr[1]]
+			}
+			pairs[i] = [2]int{a, b}
+		}
+		sortPairs(pairs)
+		return pairs, nil
+	}
+}
+
+// sortPairs orders position pairs ascending row-major.
+func sortPairs(pairs [][2]int) {
+	sort.Slice(pairs, func(a, b int) bool {
+		if pairs[a][0] != pairs[b][0] {
+			return pairs[a][0] < pairs[b][0]
+		}
+		return pairs[a][1] < pairs[b][1]
+	})
+}
+
 // reduceSummaries merges partition summaries into the final cluster set:
 //
 //  1. Clusters whose representatives are within eps merge (union-find over
@@ -44,13 +107,11 @@ type edgeFunc func(rows, cols []int) ([][2]int, error)
 //
 // weightOf supplies each unique's sample weight as the clustering stage
 // saw it (the weight at partition emission), so representative selection
-// agrees with the shard-side pre-reduce. digestOf supplies each unique's
-// content digest, used only to order noise deterministically when
-// cfg.NoiseChunk splits a large pool into fixed-size chunks. Every step
-// is deterministic in the summary list, which is itself deterministic in
-// the input batch — so shard count, scheduling, and result arrival order
-// cannot change the output.
-func reduceSummaries(sums []summary, weightOf func(int) int, digestOf func(int) uint64, cfg Config, edges edgeFunc) ([][]int, []int, error) {
+// agrees with the shard-side pre-reduce. Every step is deterministic in
+// the summary list, which is itself deterministic in the input batch — so
+// shard count, scheduling, and result arrival order cannot change the
+// output.
+func reduceSummaries(sums []summary, weightOf func(int) int, cfg Config, edges edgeFunc) ([][]int, []int, error) {
 	var clusters [][]int
 	var reps []int
 	for _, s := range sums {
@@ -65,30 +126,14 @@ func reduceSummaries(sums []summary, weightOf func(int) int, digestOf func(int) 
 	}
 	merged, mergedReps := mergeClustersByRepPairs(clusters, reps, pairs, weightOf)
 
-	// Global noise re-clustering over the pooled unfolded noise. With
-	// NoiseChunk set, a pool larger than one chunk is split into fixed-size
-	// chunks in content-digest order and each chunk is swept independently:
-	// the quadratic sweep cost drops from (pool size)² to chunks·(chunk
-	// size)², which is what keeps provider-scale noise pools from
-	// serializing the reduce — at the documented cost that cross-chunk
-	// noise pairs are not tested (straggler adoption still runs over the
-	// full leftover pool). Digest order makes chunk membership a pure
-	// function of content, so scheduling and shard count cannot change the
-	// output. Chunked pools also bypass the MaxNoiseRecluster cap — the cap
-	// exists to bound exactly the quadratic blowup chunking removes.
+	// Global noise re-clustering over the pooled unfolded noise, skipped
+	// for pools above MaxNoiseRecluster (the sweep is quadratic).
 	var noise []int
 	for _, s := range sums {
 		noise = append(noise, s.noise...)
 	}
-	chunked := cfg.NoiseChunk > 0 && len(noise) > cfg.NoiseChunk
-	if len(noise) > 0 && (chunked || cfg.MaxNoiseRecluster == 0 || len(noise) <= cfg.MaxNoiseRecluster) {
-		var npairs [][2]int
-		var err error
-		if chunked {
-			npairs, err = chunkedNoisePairs(noise, digestOf, cfg.NoiseChunk, edges)
-		} else {
-			npairs, err = edges(noise, nil)
-		}
+	if len(noise) > 0 && (cfg.MaxNoiseRecluster == 0 || len(noise) <= cfg.MaxNoiseRecluster) {
+		npairs, err := edges(noise, nil)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -142,52 +187,6 @@ func reduceSummaries(sums []summary, weightOf func(int) int, digestOf func(int) 
 		remaining = noise
 	}
 	return merged, remaining, nil
-}
-
-// chunkedNoisePairs sweeps a large noise pool in fixed-size chunks:
-// positions are ordered by (content digest, position) — deterministic in
-// content, independent of partition scheduling — split into chunks of at
-// most chunk entries, and each chunk is swept triangularly on its own.
-// Returned pairs are positions into noise; only within-chunk pairs are
-// tested, which is the documented approximation that bounds the sweep.
-func chunkedNoisePairs(noise []int, digestOf func(int) uint64, chunk int, edges edgeFunc) ([][2]int, error) {
-	order := make([]int, len(noise))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		da, db := digestOf(noise[order[a]]), digestOf(noise[order[b]])
-		if da != db {
-			return da < db
-		}
-		return order[a] < order[b]
-	})
-	var pairs [][2]int
-	for lo := 0; lo < len(order); lo += chunk {
-		hi := lo + chunk
-		if hi > len(order) {
-			hi = len(order)
-		}
-		if hi-lo < 2 {
-			continue
-		}
-		rows := make([]int, hi-lo)
-		for k := range rows {
-			rows[k] = noise[order[lo+k]]
-		}
-		cpairs, err := edges(rows, nil)
-		if err != nil {
-			return nil, err
-		}
-		for _, pr := range cpairs {
-			a, b := order[lo+pr[0]], order[lo+pr[1]]
-			if a > b {
-				a, b = b, a
-			}
-			pairs = append(pairs, [2]int{a, b})
-		}
-	}
-	return pairs, nil
 }
 
 // The helpers below are the shared kernels of both levels of the merge

@@ -70,37 +70,6 @@ func TestPreReducePartition(t *testing.T) {
 	}
 }
 
-// TestCheckShardClustersRejectsCorrupt pins the coordinator-side wire
-// validation: a worker response must assign every partition index to
-// exactly one cluster or the noise pool — duplicated, dropped, and
-// out-of-range indices are all corruption, not just the out-of-range
-// ones that would panic.
-func TestCheckShardClustersRejectsCorrupt(t *testing.T) {
-	cases := []struct {
-		name string
-		sc   ShardClusters
-		ok   bool
-	}{
-		{"honest", ShardClusters{Clusters: [][]int{{0, 1}, {3}}, Noise: []int{2}}, true},
-		{"all noise", ShardClusters{Noise: []int{0, 1, 2, 3}}, true},
-		{"duplicate across clusters", ShardClusters{Clusters: [][]int{{0, 1}, {0}}, Noise: []int{2, 3}}, false},
-		{"duplicate in cluster and noise", ShardClusters{Clusters: [][]int{{0, 1}}, Noise: []int{1, 2, 3}}, false},
-		{"dropped index", ShardClusters{Clusters: [][]int{{0, 1}}, Noise: []int{2}}, false},
-		{"out of range", ShardClusters{Clusters: [][]int{{0, 4}}, Noise: []int{1, 2, 3}}, false},
-		{"negative", ShardClusters{Clusters: [][]int{{0, -1}}, Noise: []int{1, 2, 3}}, false},
-		{"empty cluster", ShardClusters{Clusters: [][]int{{0, 1, 2, 3}, {}}}, false},
-	}
-	for _, tc := range cases {
-		err := CheckShardClusters(tc.sc, 4)
-		if tc.ok && err != nil {
-			t.Errorf("%s: unexpected error %v", tc.name, err)
-		}
-		if !tc.ok && err == nil {
-			t.Errorf("%s: corrupt response accepted", tc.name)
-		}
-	}
-}
-
 // TestMapSummaryRejectsCorrupt pins the same exact-once contract on the
 // pre-reduced summaries v2 workers return, plus the rep-membership
 // invariant (every honest rep is a member of its own cluster).
@@ -209,6 +178,7 @@ func TestBuildEdgeJobsCoverage(t *testing.T) {
 		idx[i] = i
 	}
 	const eps = 0.3
+	keyFor := func(ui int) SeqKey { return SeqKeyOf(seqs[ui]) }
 	for _, fleet := range []int{1, 2, 3, 4, 8, 64} {
 		for _, cols := range [][]int{nil, idx[25:]} {
 			rows := idx
@@ -216,7 +186,7 @@ func TestBuildEdgeJobsCoverage(t *testing.T) {
 				rows = idx[:25]
 			}
 			want, _ := localEdges(&uniqueSet{seqs: seqs}, Config{Eps: eps, Workers: 2}, rows, cols)
-			specs := buildEdgeJobs(seqs, rows, cols, eps, fleet, nil, nil)
+			specs := buildEdgeJobs(seqs, rows, cols, eps, fleet, keyFor, nil)
 			seen := make(map[[2]int]int)
 			for si, spec := range specs {
 				el, err := SweepEdges(spec.job, 2, nil)
@@ -301,62 +271,6 @@ func TestBuildEdgeJobsPlacementCoverage(t *testing.T) {
 	}
 }
 
-// TestChunkedNoisePairsOrderInvariant pins the determinism claim behind
-// noise chunking: chunk membership is a pure function of content digests,
-// so permuting the pooled noise list (summaries arriving in any order)
-// must leave the tested pair set — mapped back to unique indices —
-// unchanged, and every chunk must respect the size bound.
-func TestChunkedNoisePairsOrderInvariant(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	space := jstoken.SymbolSpace()
-	var seqs [][]jstoken.Symbol
-	for i := 0; i < 50; i++ {
-		n := 8 + rng.Intn(20)
-		seq := make([]jstoken.Symbol, n)
-		for j := range seq {
-			seq[j] = jstoken.Symbol(rng.Intn(5) % space)
-		}
-		seqs = append(seqs, seq)
-	}
-	u := &uniqueSet{seqs: seqs}
-	for i := range seqs {
-		u.ids = append(u.ids, seqID{h1: hashSeq(seqs[i]), h2: altHashSeq(seqs[i]), n: len(seqs[i])})
-	}
-	digestOf := func(ui int) uint64 { return u.ids[ui].h1 }
-	cfg := Config{Eps: 0.3, Workers: 2}
-	edges := func(rows, cols []int) ([][2]int, error) { return localEdges(u, cfg, rows, cols) }
-
-	noise := make([]int, len(seqs))
-	for i := range noise {
-		noise[i] = i
-	}
-	const chunk = 12
-	uniqPairs := func(noise []int) map[[2]int]int {
-		t.Helper()
-		pairs, err := chunkedNoisePairs(noise, digestOf, chunk, edges)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := make(map[[2]int]int)
-		for _, pr := range pairs {
-			a, b := noise[pr[0]], noise[pr[1]]
-			if a > b {
-				a, b = b, a
-			}
-			out[[2]int{a, b}]++
-		}
-		return out
-	}
-	ref := uniqPairs(noise)
-	for trial := 0; trial < 3; trial++ {
-		perm := append([]int(nil), noise...)
-		rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
-		if got := uniqPairs(perm); !reflect.DeepEqual(ref, got) {
-			t.Fatalf("trial %d: permuting the noise pool changed the tested pair set", trial)
-		}
-	}
-}
-
 // TestSplitTriangularBounds sanity-checks the triangular chunking.
 func TestSplitTriangularBounds(t *testing.T) {
 	for _, n := range []int{0, 1, 2, 5, 27, 100} {
@@ -405,10 +319,63 @@ func TestPackedSeqsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBatchMatchesStream pins the dispatch-mode identity on the
-// in-process path: batch dispatch, streaming dispatch, and pre-reduce
-// placement must all produce bit-identical results.
-func TestBatchMatchesStream(t *testing.T) {
+// TestScheduleSeedPermutesSweepOrder pins the in-process schedule lever
+// the certification verifier relies on: with a seed, the reduce sweeps
+// reach the executor in a different row/col order than the canonical
+// schedule, yet return exactly the canonical pair list — triangular and
+// bipartite alike. Seed 0 must leave the order untouched.
+func TestScheduleSeedPermutesSweepOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	space := jstoken.SymbolSpace()
+	var seqs [][]jstoken.Symbol
+	for i := 0; i < 30; i++ {
+		seq := make([]jstoken.Symbol, 10+rng.Intn(20))
+		for j := range seq {
+			seq[j] = jstoken.Symbol(rng.Intn(5) % space)
+		}
+		seqs = append(seqs, seq)
+	}
+	u := &uniqueSet{seqs: seqs}
+	cfg := Config{Eps: 0.3, Workers: 2}
+	var seen [][]int
+	recording := func(rows, cols []int) ([][2]int, error) {
+		seen = append(seen, append(append([]int(nil), rows...), cols...))
+		return localEdges(u, cfg, rows, cols)
+	}
+	idx := make([]int, len(seqs))
+	for i := range idx {
+		idx[i] = i
+	}
+	for _, tc := range []struct {
+		name       string
+		rows, cols []int
+	}{
+		{"triangular", idx, nil},
+		{"bipartite", idx[:20], idx[20:]},
+	} {
+		want, _ := localEdges(u, cfg, tc.rows, tc.cols)
+		canonical := append(append([]int(nil), tc.rows...), tc.cols...)
+		for _, seed := range []int64{0, 1887} {
+			seen = nil
+			got, err := scheduledEdges(seed, recording)(tc.rows, tc.cols)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s seed=%d: pairs %v, canonical %v", tc.name, seed, got, want)
+			}
+			if reordered := !reflect.DeepEqual(seen[0], canonical); reordered != (seed != 0) {
+				t.Fatalf("%s seed=%d: sweep order reordered=%v", tc.name, seed, reordered)
+			}
+		}
+	}
+}
+
+// TestInProcessScheduleVariants pins the in-process schedule variants: a
+// seeded schedule must produce bit-identical results, and a different
+// partition fanout (which legitimately changes partition composition)
+// must still be deterministic.
+func TestInProcessScheduleVariants(t *testing.T) {
 	day := ekit.Date(8, 9)
 	inputs := dayInputs(t, day, 100)
 	base := DefaultConfig()
@@ -426,7 +393,7 @@ func TestBatchMatchesStream(t *testing.T) {
 		mutate func(*Config)
 		same   bool
 	}{
-		{"batch", func(c *Config) { c.BatchDispatch = true }, true},
+		{"seeded", func(c *Config) { c.ScheduleSeed = 1887 }, true},
 		// Different fanout legitimately changes partition composition (and
 		// so may change clusters); it must still be deterministic.
 		{"fanout=1", func(c *Config) { c.PartitionFanout = 1 }, false},
@@ -442,7 +409,7 @@ func TestBatchMatchesStream(t *testing.T) {
 			stripTimings(&got)
 			if m.same {
 				if !reflect.DeepEqual(ref.Clusters, got.Clusters) || !reflect.DeepEqual(ref.Signatures, got.Signatures) {
-					t.Fatal("dispatch mode changed pipeline output")
+					t.Fatal("schedule changed pipeline output")
 				}
 				return
 			}

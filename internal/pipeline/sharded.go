@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"runtime"
-	"time"
 
 	"kizzle/internal/contentcache"
 	"kizzle/internal/dbscan"
@@ -20,8 +19,7 @@ import (
 // coordinator-side stages stay inside Process. Two unit kinds exist:
 //
 //   - partition units: cluster one partition's sequences (DBSCAN) and
-//     pre-reduce the result (protocol v2) — the bottom level of the
-//     hierarchical reduce;
+//     pre-reduce the result — the bottom level of the hierarchical reduce;
 //   - edge units: evaluate a batch of within-eps pair tests between
 //     sequences — the distance sweeps of the reduce step (representative
 //     merge, noise re-clustering, straggler adoption), fanned back out to
@@ -40,29 +38,29 @@ type ShardPartition struct {
 	Seqs    [][]jstoken.Symbol `json:"seqs"`
 	Weights []int              `json:"weights"`
 	// Keys are the content addresses of Seqs (aligned), attached by the
-	// streaming session so an affinity-routing coordinator can record which
-	// worker became resident for which sequences. Coordinator-side only —
-	// never on the wire; workers that keep a resident set recompute the
-	// keys themselves (wire data is untrusted anyway).
+	// streaming session so the coordinator can record which worker became
+	// resident for which sequences. Coordinator-side only — never on the
+	// wire; workers recompute the keys themselves (wire data is untrusted
+	// anyway).
 	Keys []SeqKey `json:"-"`
 }
 
-// ShardClusters is a worker's result for one partition: clusters and noise
-// in partition-local indices (positions into ShardPartition.Seqs). This is
-// the protocol-v1 result shape; v2 responses carry a ReducedPartition
-// instead.
+// ShardClusters is one partition's raw DBSCAN result — clusters and noise
+// in partition-local indices (positions into ShardPartition.Seqs) — the
+// input PreReducePartition compacts before anything leaves the executor.
 type ShardClusters struct {
 	Clusters [][]int `json:"clusters"`
 	Noise    []int   `json:"noise"`
 }
 
-// ReducedPartition is a partition's pre-reduced clustering summary
-// (protocol v2): partition clusters merged where their representatives
+// ReducedPartition is a partition's pre-reduced clustering summary:
+// partition clusters merged where their representatives
 // fall within eps, local noise folded into those merged clusters where it
 // can be, and one representative recorded per surviving cluster. All
 // indices are partition-local (positions into ShardPartition.Seqs). The
 // pre-reduce is a pure function of the partition, so the summary is
-// identical no matter which shard (or the coordinator itself) computed it.
+// identical no matter which shard (or the in-process executor) computed
+// it.
 type ReducedPartition struct {
 	// Clusters are the pre-merged clusters, ordered by their first
 	// constituent DBSCAN cluster.
@@ -74,7 +72,7 @@ type ReducedPartition struct {
 	Noise []int `json:"noise"`
 }
 
-// EdgeJob is a distance work unit (protocol v2): evaluate which pairs of
+// EdgeJob is a distance work unit: evaluate which pairs of
 // the referenced sequences are within the normalized edit-distance eps.
 // With Cols nil the job is triangular — every unordered pair of Rows
 // (i < j by position); otherwise it is bipartite — every (row, col) pair.
@@ -85,10 +83,8 @@ type EdgeJob struct {
 	Rows []int      `json:"rows"`
 	Cols []int      `json:"cols,omitempty"`
 	// Keys are the content addresses of Seqs (aligned), attached by the
-	// streaming session for coordinators that speak the digest-first edge
-	// protocol (v3). They are a coordinator-side hint only — never part of
-	// the v2 wire form, which is why dispatch through a v2-only fleet is
-	// byte-identical to pre-v3 coordinators.
+	// streaming session. The coordinator's digest-first request carries
+	// them in place of the sequences a worker already holds.
 	Keys []SeqKey `json:"-"`
 }
 
@@ -98,8 +94,8 @@ type EdgeJob struct {
 // 64-bit hash, and the symbol count. A wrong match needs a simultaneous
 // collision of both hashes and the length — the identity strength every
 // other content-addressed structure in the pipeline already relies on.
-// Digest-first edge requests (protocol v3) ship keys instead of sequences
-// and fill only the keys the worker does not hold.
+// Digest-first edge requests ship keys instead of sequences and fill only
+// the keys the worker does not hold.
 type SeqKey struct {
 	H uint64
 	A uint64
@@ -161,8 +157,8 @@ type EdgeList struct {
 
 // PackedSeqs carries symbol sequences on the wire as base64 of
 // little-endian uint16s — roughly 40% of the bytes (and a fraction of the
-// encode cost) of JSON integer arrays, which matters because edge jobs
-// re-ship each wave's sequences to the fleet.
+// encode cost) of JSON integer arrays, which matters for the sequences
+// edge jobs fill on workers that do not hold them yet.
 type PackedSeqs [][]jstoken.Symbol
 
 // MarshalJSON encodes each sequence as a base64 string.
@@ -208,19 +204,8 @@ func (p *PackedSeqs) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// Clusterer abstracts the partition-clustering stage. ClusterPartitions
-// must return one ShardClusters per input partition, in order; the
-// pipeline's output is then bit-identical regardless of where partitions
-// were clustered, because partition clustering is deterministic in
-// (sequences, weights, eps, minPts) — see TestShardedMatchesSingleProcess.
-// This is the protocol-v1 batch seam; dispatchers that also implement
-// StreamClusterer get streamed work and host the reduce's distance sweeps.
-type Clusterer interface {
-	ClusterPartitions(parts []ShardPartition, cfg Config) ([]ShardClusters, error)
-}
-
 // WorkUnit is one unit of clustering-stage work flowing from the pipeline
-// to a StreamClusterer. Exactly one of Partition and Edges is non-nil.
+// to a Clusterer. Exactly one of Partition and Edges is non-nil.
 type WorkUnit struct {
 	// Seq numbers units within one stream, starting at 0; results are
 	// matched back by it.
@@ -256,73 +241,27 @@ type WorkResult struct {
 	Err     error
 }
 
-// StreamClusterer is the streaming seam: work units are consumed as the
-// host emits them — partitions while dedup is still running, then the
-// reduce's edge sweeps — so the fleet is busy before the serial stages
-// finish. Implementations must emit exactly one result per unit (any
-// order) and close the result channel once the work channel closes and
-// all results are out.
-type StreamClusterer interface {
-	Clusterer
+// Clusterer is the clustering stage's dispatch seam (Config.Clusterer):
+// work units are consumed as the host emits them — partitions while dedup
+// is still running, then the reduce's edge sweeps — so the fleet is busy
+// before the serial stages finish. ClusterStream must emit exactly one
+// result per unit (any order) and close the result channel once the work
+// channel closes and all results are out. Every unit's result is a pure
+// function of the unit, so output never depends on where units ran — see
+// TestShardedMatchesSingleProcess.
+type Clusterer interface {
 	ClusterStream(work <-chan WorkUnit, cfg Config) <-chan WorkResult
 	// StreamWorkers reports the fleet size, used to size edge-sweep fan-out
 	// (it never affects results).
 	StreamWorkers() int
-}
-
-// RowPlacer is an optional interface a StreamClusterer can implement to
-// expose its locality knowledge: for each key, the shard it believes
-// holds the addressed sequence resident (-1 when unknown). The streaming
-// session uses the placement to compose edge jobs from rows that live
-// together, so affinity routing sends whole jobs to warm workers instead
-// of scattering each chunk's bytes across the fleet. Placement is pure
-// routing advice: the pair set (and therefore the output) is independent
-// of how rows are grouped into jobs.
-type RowPlacer interface {
+	// PlaceRows reports, for each key, the shard believed to hold the
+	// addressed sequence resident (-1 when unknown). The streaming session
+	// composes edge jobs from rows that live together, so routing sends
+	// whole jobs to warm workers instead of scattering each chunk's bytes
+	// across the fleet. Placement is pure routing advice: the pair set
+	// (and therefore the output) is independent of how rows are grouped
+	// into jobs.
 	PlaceRows(keys []SeqKey) []int
-}
-
-// CheckShardClusters validates a wire ShardClusters against the
-// partition size it answers: clusters and noise together must assign
-// every index in [0, n) exactly once — DBSCAN partitions its input, so
-// an honest executor never duplicates or drops an index. Coordinators
-// must run it on any worker response before handing the indices to
-// PreReducePartition — a malformed response from a buggy or hostile
-// worker must surface as an error, never as an out-of-range panic in
-// the reduce kernels or a silently double-counted (or vanished) sample.
-func CheckShardClusters(sc ShardClusters, n int) error {
-	seen := make([]bool, n)
-	assigned := 0
-	claim := func(local int) error {
-		if local < 0 || local >= n {
-			return fmt.Errorf("index %d outside [0,%d)", local, n)
-		}
-		if seen[local] {
-			return fmt.Errorf("index %d assigned twice", local)
-		}
-		seen[local] = true
-		assigned++
-		return nil
-	}
-	for ci, members := range sc.Clusters {
-		if len(members) == 0 {
-			return fmt.Errorf("cluster %d is empty", ci)
-		}
-		for _, local := range members {
-			if err := claim(local); err != nil {
-				return fmt.Errorf("cluster %d: %w", ci, err)
-			}
-		}
-	}
-	for _, local := range sc.Noise {
-		if err := claim(local); err != nil {
-			return fmt.Errorf("noise: %w", err)
-		}
-	}
-	if assigned != n {
-		return fmt.Errorf("%d of %d indices unassigned", n-assigned, n)
-	}
-	return nil
 }
 
 // ClusterPartition clusters one partition — the unit of work a shard
@@ -376,9 +315,9 @@ func wireSeqIDs(seqs [][]jstoken.Symbol, cache *contentcache.Cache) []seqID {
 // PreReducePartition computes a partition's pre-reduce: DBSCAN clusters
 // whose representatives sit within eps are merged (transitively), and
 // noise points within eps of a merged cluster's representative are folded
-// into it. The result depends only on (partition, clusters, eps), so any
-// shard — or the coordinator, for protocol-v1 workers — computes the same
-// summary. cfg supplies Eps, Workers, and the optional verdict cache.
+// into it. The result depends only on (partition, clusters, eps), so every
+// executor computes the same summary. cfg supplies Eps, Workers, and the
+// optional verdict cache.
 func PreReducePartition(p ShardPartition, sc ShardClusters, cfg Config) ReducedPartition {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -471,42 +410,6 @@ func (p unionFind) find(x int) int {
 }
 
 func (p unionFind) union(a, b int) { p[p.find(a)] = p.find(b) }
-
-// clusterViaClusterer runs the partition stage through a batch (protocol
-// v1) Clusterer and pre-reduces each partition coordinator-side, yielding
-// the same summaries a v2 streaming fleet returns. The second return is
-// the wall time of that serial pre-reduce loop — real coordinator work
-// the v1 cost model pays that a v2 fleet runs shard-side (Stats
-// surfaces it as CoordPreReduce).
-func clusterViaClusterer(u uniqueSet, emitted []emittedPartition, cfg Config) ([]summary, time.Duration, error) {
-	shardParts := make([]ShardPartition, len(emitted))
-	for pi, ep := range emitted {
-		shardParts[pi] = ep.part
-	}
-	results, err := cfg.Clusterer.ClusterPartitions(shardParts, cfg)
-	if err != nil {
-		return nil, 0, fmt.Errorf("cluster partitions: %w", err)
-	}
-	if len(results) != len(emitted) {
-		return nil, 0, fmt.Errorf("cluster partitions: %d results for %d partitions", len(results), len(emitted))
-	}
-	start := time.Now()
-	sums := make([]summary, len(emitted))
-	for pi, r := range results {
-		// Responses are untrusted wire data: reject out-of-range indices
-		// before the pre-reduce kernels index into the partition.
-		if err := CheckShardClusters(r, len(emitted[pi].part.Seqs)); err != nil {
-			return nil, 0, fmt.Errorf("cluster partitions: partition %d: %w", pi, err)
-		}
-		reduced := PreReducePartition(emitted[pi].part, r, cfg)
-		s, err := mapSummary(emitted[pi].uniques, &reduced)
-		if err != nil {
-			return nil, 0, fmt.Errorf("cluster partitions: partition %d: %w", pi, err)
-		}
-		sums[pi] = s
-	}
-	return sums, time.Since(start), nil
-}
 
 // mapSummary translates a partition-local ReducedPartition into
 // unique-sequence indices, validating every index (worker responses are

@@ -19,8 +19,8 @@ import (
 // is emitted immediately — so a shard fleet starts clustering while the
 // host is still lexing and deduplicating the tail of the batch. Partition
 // content (membership and weights) depends only on the input order, never
-// on scheduling, which keeps the pipeline's output bit-identical across
-// in-process, batch-dispatched, and streamed execution.
+// on scheduling, which keeps the pipeline's output bit-identical between
+// in-process and fleet execution.
 
 // lexChunkGroups is how many digest groups are lexed per pipeline chunk;
 // one chunk is always being lexed while the previous one is deduplicated.
@@ -38,8 +38,8 @@ type emittedPartition struct {
 }
 
 // clusterSession abstracts where the clustering stage's work units run.
-// The pipeline drives every mode through the same calls: partitions are
-// submitted as dedup emits them, collect blocks until all partition
+// The pipeline drives both executors through the same calls: partitions
+// are submitted as dedup emits them, collect blocks until all partition
 // summaries are in, and edges serves the reduce step's distance sweeps.
 type clusterSession interface {
 	// submitPartition hands over one emitted partition. hostTime is the
@@ -54,35 +54,17 @@ type clusterSession interface {
 	// edgeStats reports how many edge work units were dispatched remotely
 	// and the wall time spent blocked on them.
 	edgeStats() (int, time.Duration)
-	// preReduceTime reports wall time the coordinator spent serially
-	// pre-reducing partition results — nonzero only on the batch
-	// Clusterer path, where pre-reduce cannot ride inside the partition
-	// executors.
-	preReduceTime() time.Duration
 	// close releases session resources; no calls may follow.
 	close()
 }
 
-// openClusterSession picks the execution mode:
-//
-//   - no Clusterer: work units run in-process across cfg.Workers (streamed
-//     unless cfg.BatchDispatch), reduce sweeps run in-process;
-//   - StreamClusterer (and not cfg.BatchDispatch): partitions stream to
-//     the fleet as emitted and reduce sweeps are dispatched as edge jobs;
-//   - batch Clusterer (or cfg.BatchDispatch): partitions are collected and
-//     dispatched in one protocol-v1 batch; pre-reduce and reduce sweeps
-//     run on the coordinator.
+// openClusterSession picks the executor: with a Clusterer, partitions
+// stream to the fleet as emitted and reduce sweeps are dispatched as edge
+// jobs; without one, work units run in-process across cfg.Workers and the
+// reduce sweeps run directly over the unique set.
 func openClusterSession(cfg Config) clusterSession {
-	if cfg.Clusterer != nil && !cfg.BatchDispatch {
-		if sc, ok := cfg.Clusterer.(StreamClusterer); ok {
-			return newStreamSession(sc, cfg)
-		}
-	}
 	if cfg.Clusterer != nil {
-		return &batchSession{cfg: cfg}
-	}
-	if cfg.BatchDispatch {
-		return &batchSession{cfg: cfg}
+		return newStreamSession(cfg.Clusterer, cfg)
 	}
 	return newLocalStreamSession(cfg)
 }
@@ -351,8 +333,6 @@ func (s *localStreamSession) edges(rows, cols []int) ([][2]int, error) {
 
 func (s *localStreamSession) edgeStats() (int, time.Duration) { return 0, 0 }
 
-func (s *localStreamSession) preReduceTime() time.Duration { return 0 }
-
 func (s *localStreamSession) close() {
 	close(s.work)
 	s.collected.drain()
@@ -363,56 +343,14 @@ func localEdges(u *uniqueSet, cfg Config, rows, cols []int) ([][2]int, error) {
 	return sweepPairs(u.seqs, u.ids, cfg.Cache, rows, cols, cfg.Eps, cfg.Workers), nil
 }
 
-// batchSession queues every partition and dispatches them in one batch
-// after dedup — protocol v1 and the pre-streaming cost model. Pre-reduce
-// and the reduce sweeps run on the coordinator.
-type batchSession struct {
-	cfg       Config
-	u         *uniqueSet
-	emitted   []emittedPartition
-	preReduce time.Duration
-}
-
-func (s *batchSession) submitPartition(ep emittedPartition, _ time.Duration) {
-	s.emitted = append(s.emitted, ep)
-}
-
-func (s *batchSession) collect(u *uniqueSet) ([]summary, error) {
-	s.u = u
-	if s.cfg.Clusterer != nil {
-		sums, preReduce, err := clusterViaClusterer(*u, s.emitted, s.cfg)
-		s.preReduce = preReduce
-		return sums, err
-	}
-	// In-process batch: run the same local executor over the queued units.
-	work := make(chan WorkUnit, len(s.emitted))
-	for i := range s.emitted {
-		part := s.emitted[i].part
-		work <- WorkUnit{Seq: i, Partition: &part}
-	}
-	close(work)
-	collector := newResultCollector(localClusterStream(work, s.cfg))
-	return collectSummaries(collector, s.emitted)
-}
-
-func (s *batchSession) edges(rows, cols []int) ([][2]int, error) {
-	return localEdges(s.u, s.cfg, rows, cols)
-}
-
-func (s *batchSession) edgeStats() (int, time.Duration) { return 0, 0 }
-
-func (s *batchSession) preReduceTime() time.Duration { return s.preReduce }
-
-func (s *batchSession) close() {}
-
 // --- remote streaming session ---
 
-// streamSession drives a StreamClusterer: partitions flow to the fleet as
+// streamSession drives a Clusterer: partitions flow to the fleet as
 // dedup emits them, and the reduce step's distance sweeps are fanned out
 // as edge jobs over the same stream.
 type streamSession struct {
 	cfg          Config
-	sc           StreamClusterer
+	sc           Clusterer
 	u            *uniqueSet
 	work         chan WorkUnit
 	collected    *resultCollector
@@ -427,7 +365,7 @@ type streamSession struct {
 	keyOf map[int]SeqKey
 }
 
-func newStreamSession(sc StreamClusterer, cfg Config) *streamSession {
+func newStreamSession(sc Clusterer, cfg Config) *streamSession {
 	work := make(chan WorkUnit)
 	return &streamSession{
 		cfg:       cfg,
@@ -442,9 +380,9 @@ func newStreamSession(sc StreamClusterer, cfg Config) *streamSession {
 func (s *streamSession) submitPartition(ep emittedPartition, hostTime time.Duration) {
 	s.emitted = append(s.emitted, ep)
 	part := ep.part
-	// Content addresses ride along so an affinity-routing coordinator can
-	// record which worker turned resident for which sequences; they are
-	// stripped from the v2 wire form (json:"-").
+	// Content addresses ride along so the coordinator can record which
+	// worker turned resident for which sequences; they never go on the
+	// wire (json:"-").
 	part.Keys = make([]SeqKey, len(part.Seqs))
 	for k, ui := range ep.uniques {
 		key := SeqKeyOf(part.Seqs[k])
@@ -470,69 +408,15 @@ func (s *streamSession) collect(u *uniqueSet) ([]summary, error) {
 	return collectSummaries(s.collected, s.emitted)
 }
 
-// edges serves the reduce step's distance sweeps, optionally through a
-// seeded schedule permutation (Config.ScheduleSeed): the row/col orders
-// are permuted before jobs are composed, which changes every job's
-// membership and chunk boundaries, and the resulting pair positions are
-// mapped back to the caller's order afterwards. The pair set itself is
-// order-independent (every unordered pair lands in exactly one job under
-// any composition, and sweep reassembles into one sorted list), so the
-// permutation diversifies the schedule without being able to change the
-// output — the property the certification verifier leans on.
+// edges splits the sweep into jobs, submits them over the open stream,
+// and reassembles the pair list in deterministic order. Jobs are composed
+// from rows the Clusterer places on the same worker — within-group
+// triangles plus cross-group rectangles — so routing ships near-zero
+// sequence bytes for warm groups; rows with no known placement are split
+// to balance pair counts across the fleet. Either way the pair set is
+// independent of the chunking, so placement and fleet size cannot change
+// the result.
 func (s *streamSession) edges(rows, cols []int) ([][2]int, error) {
-	if s.cfg.ScheduleSeed == 0 {
-		return s.sweep(rows, cols)
-	}
-	permR := SeededPerm(len(rows), uint64(s.cfg.ScheduleSeed))
-	pRows := make([]int, len(rows))
-	for i, p := range permR {
-		pRows[i] = rows[p]
-	}
-	var pCols, permC []int
-	if cols != nil {
-		permC = SeededPerm(len(cols), uint64(s.cfg.ScheduleSeed)+0x9e3779b97f4a7c15)
-		pCols = make([]int, len(cols))
-		for i, p := range permC {
-			pCols[i] = cols[p]
-		}
-	}
-	pairs, err := s.sweep(pRows, pCols)
-	if err != nil {
-		return nil, err
-	}
-	// Map positions in the permuted orders back to the caller's positions,
-	// re-establishing the ascending-pair contract for triangular sweeps.
-	for i, pr := range pairs {
-		a := permR[pr[0]]
-		var b int
-		if cols == nil {
-			b = permR[pr[1]]
-			if a > b {
-				a, b = b, a
-			}
-		} else {
-			b = permC[pr[1]]
-		}
-		pairs[i] = [2]int{a, b}
-	}
-	sort.Slice(pairs, func(a, b int) bool {
-		if pairs[a][0] != pairs[b][0] {
-			return pairs[a][0] < pairs[b][0]
-		}
-		return pairs[a][1] < pairs[b][1]
-	})
-	return pairs, nil
-}
-
-// sweep splits the sweep into jobs, submits them over the open stream,
-// and reassembles the pair list in deterministic order. With a locality-
-// aware dispatcher (RowPlacer) the jobs are composed from rows believed
-// resident on the same worker — within-group triangles plus cross-group
-// rectangles — so affinity routing ships near-zero sequence bytes for
-// warm groups; otherwise the split balances pair counts across the fleet.
-// Either way the pair set is independent of the chunking, so placement
-// and fleet size cannot change the result.
-func (s *streamSession) sweep(rows, cols []int) ([][2]int, error) {
 	if len(rows) == 0 || (cols != nil && len(cols) == 0) {
 		return nil, nil
 	}
@@ -576,32 +460,20 @@ func (s *streamSession) sweep(rows, cols []int) ([][2]int, error) {
 			out = append(out, [2]int{a, b})
 		}
 	}
-	sort.Slice(out, func(a, b int) bool {
-		if out[a][0] != out[b][0] {
-			return out[a][0] < out[b][0]
-		}
-		return out[a][1] < out[b][1]
-	})
+	sortPairs(out)
 	return out, nil
 }
 
-// placeRows asks a locality-aware dispatcher where each row's sequence is
-// resident (nil when the dispatcher has no placement knowledge).
+// placeRows asks the Clusterer where each row's sequence is resident.
 func (s *streamSession) placeRows(rows []int) []int {
-	rp, ok := s.sc.(RowPlacer)
-	if !ok {
-		return nil
-	}
 	keys := make([]SeqKey, len(rows))
 	for i, ui := range rows {
 		keys[i] = s.seqKey(ui)
 	}
-	return rp.PlaceRows(keys)
+	return s.sc.PlaceRows(keys)
 }
 
 func (s *streamSession) edgeStats() (int, time.Duration) { return s.nEdgeJobs, s.dispatchWall }
-
-func (s *streamSession) preReduceTime() time.Duration { return 0 }
 
 func (s *streamSession) close() {
 	close(s.work)
@@ -618,23 +490,18 @@ type edgeJobSpec struct {
 
 // makeEdgeSpec assembles one wire job from row/col positions (positions
 // into the caller's rows and cols slices; colPos nil means triangular).
-// keyFor, when non-nil, attaches each shipped sequence's content address
-// for digest-first dispatch.
+// keyFor attaches each shipped sequence's content address for
+// digest-first dispatch.
 func makeEdgeSpec(seqs [][]jstoken.Symbol, rows, cols []int, eps float64, keyFor func(int) SeqKey, rowPos, colPos []int) edgeJobSpec {
 	nr, nc := len(rowPos), len(colPos)
 	jobSeqs := make(PackedSeqs, nr+nc)
-	var keys []SeqKey
-	if keyFor != nil {
-		keys = make([]SeqKey, nr+nc)
-	}
+	keys := make([]SeqKey, nr+nc)
 	jobRows := make([]int, nr)
 	mapRow := make([]int, nr)
 	for k, p := range rowPos {
 		ui := rows[p]
 		jobSeqs[k] = seqs[ui]
-		if keys != nil {
-			keys[k] = keyFor(ui)
-		}
+		keys[k] = keyFor(ui)
 		jobRows[k] = k
 		mapRow[k] = p
 	}
@@ -650,9 +517,7 @@ func makeEdgeSpec(seqs [][]jstoken.Symbol, rows, cols []int, eps float64, keyFor
 	for k, p := range colPos {
 		ui := cols[p]
 		jobSeqs[nr+k] = seqs[ui]
-		if keys != nil {
-			keys[nr+k] = keyFor(ui)
-		}
+		keys[nr+k] = keyFor(ui)
 		jobCols[k] = nr + k
 		mapCol[k] = p
 	}
@@ -693,7 +558,7 @@ func groupByPlace(place []int) [][]int {
 // placement knowledge (place non-nil, aligned with rows, at least two
 // groups) jobs follow locality: one triangle per resident group plus one
 // rectangle per group pair, so each job's rows live together on one
-// worker and affinity routing ships only cold bytes. Without placement,
+// worker and routing ships only cold bytes. Without placement,
 // a triangular sweep is chunked by pair count — each chunk [lo,hi)
 // yields a within-chunk triangle plus a chunk×tail rectangle — and
 // bipartite sweeps split rows evenly. Every unordered pair lands in
@@ -775,9 +640,9 @@ func buildEdgeJobs(seqs [][]jstoken.Symbol, rows, cols []int, eps float64, fleet
 }
 
 // SeededPerm returns a deterministic Fisher–Yates permutation of [0,n)
-// driven by a splitmix64 stream over seed. Shared by the streamed edge
-// sweeps and the shard coordinator's schedule permutation so a single
-// seed names one reproducible alternative schedule.
+// driven by a splitmix64 stream over seed. Shared by the reduce sweeps'
+// schedule permutation (scheduledEdges) and the shard coordinator's so a
+// single seed names one reproducible alternative schedule.
 func SeededPerm(n int, seed uint64) []int {
 	out := make([]int, n)
 	for i := range out {
@@ -818,7 +683,7 @@ func splitTriangular(n, fleet int) []int {
 	return bounds
 }
 
-// localClusterStream is the in-process StreamClusterer executor: work
+// localClusterStream is the in-process Clusterer executor: work
 // units are pulled from the channel by cfg.Workers goroutines. Exactly the
 // remote fleet's pull-queue shape, minus the wire.
 func localClusterStream(work <-chan WorkUnit, cfg Config) <-chan WorkResult {

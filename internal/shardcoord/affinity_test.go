@@ -17,26 +17,27 @@ import (
 )
 
 // residentWorkers builds n in-process workers with verdict caches and
-// resident sets — the full locality-aware fleet configuration.
-func residentWorkers(n int) []*Worker {
+// resident sets of the given byte budget.
+func residentWorkers(n, budget int) []*Worker {
 	workers := make([]*Worker, n)
 	for i := range workers {
 		workers[i] = NewWorker(
 			WithWorkerParallelism(2),
 			WithWorkerCache(contentcache.New(8<<20)),
-			WithWorkerResidentBudget(32<<20),
+			WithWorkerResidentBudget(budget),
 		)
 	}
 	return workers
 }
 
 // TestShardedAffinityMatchesSingleProcess is the locality layer's
-// differential test: affinity routing plus the digest-first v3 wire must
-// produce clusters and signatures identical to both the affinity-disabled
-// coordinator and the single-process pipeline, at every shard count —
-// routing and wire format are pure economics, never semantics. It also
-// pins the economics: on a resident fleet the edge wave must ship less
-// than half the bytes the v2 wire ships for the same workload.
+// differential test: affinity routing over the digest-first wire must
+// produce clusters and signatures identical to the single-process
+// pipeline at every shard count, whether the workers' resident sets hold
+// the working set or have no room for any of it (every job then misses
+// and refills) — routing and residency are pure economics, never
+// semantics. It also pins the economics: on a resident fleet the edge
+// wave must ship less than half the bytes the roomless fleet ships.
 func TestShardedAffinityMatchesSingleProcess(t *testing.T) {
 	day := ekit.Date(8, 12)
 	inputs := dayInputs(t, day, 110)
@@ -51,16 +52,16 @@ func TestShardedAffinityMatchesSingleProcess(t *testing.T) {
 
 	for _, shards := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			var affinityEdgeWire, plainEdgeWire int64
+			var residentEdgeWire, roomlessEdgeWire int64
 			for _, mode := range []struct {
-				name string
-				opts []CoordinatorOption
+				name   string
+				budget int
 			}{
-				{"affinity", nil},
-				{"noAffinity", []CoordinatorOption{WithoutAffinity()}},
+				{"resident", 32 << 20},
+				{"roomless", 1}, // no sequence fits: every edge job refills
 			} {
 				scfg := cfg
-				scfg.Clusterer = NewCoordinator(NewLoopback(residentWorkers(shards)), mode.opts...)
+				scfg.Clusterer = NewCoordinator(NewLoopback(residentWorkers(shards, mode.budget)))
 				// Two runs per setup: the second exercises warm resident
 				// sets and warm verdict caches on top of a populated
 				// coordinator residency map.
@@ -74,10 +75,10 @@ func TestShardedAffinityMatchesSingleProcess(t *testing.T) {
 						t.Fatalf("%s run %d: no edge wire traffic measured", mode.name, run)
 					}
 					if run == 1 {
-						if mode.name == "affinity" {
-							affinityEdgeWire = edgeWire
+						if mode.name == "resident" {
+							residentEdgeWire = edgeWire
 						} else {
-							plainEdgeWire = edgeWire
+							roomlessEdgeWire = edgeWire
 						}
 					}
 					stripTimings(&got)
@@ -91,48 +92,16 @@ func TestShardedAffinityMatchesSingleProcess(t *testing.T) {
 			}
 			// The acceptance economics: edge rows are partition members, so
 			// by the edge wave every sequence is resident where it clustered
-			// and v3 ships 20-byte keys instead of packed sequences.
-			if affinityEdgeWire*2 > plainEdgeWire {
-				t.Fatalf("affinity edge wire %d bytes is not ≤ half of v2's %d bytes",
-					affinityEdgeWire, plainEdgeWire)
+			// and the wire carries 20-byte keys instead of packed sequences.
+			if residentEdgeWire*2 > roomlessEdgeWire {
+				t.Fatalf("resident edge wire %d bytes is not ≤ half of the roomless fleet's %d bytes",
+					residentEdgeWire, roomlessEdgeWire)
 			}
 		})
 	}
 }
 
-// TestShardedNoiseChunkMatchesSingleProcess pins the chunked-noise
-// determinism end to end: with NoiseChunk set, the sharded pipeline at
-// every shard count must produce exactly the single-process output for
-// the same NoiseChunk — chunk membership is content-addressed, so neither
-// scheduling nor fleet size may move a sequence between chunks.
-func TestShardedNoiseChunkMatchesSingleProcess(t *testing.T) {
-	day := ekit.Date(8, 14)
-	inputs := dayInputs(t, day, 140)
-	cfg := pipeline.DefaultConfig()
-	cfg.PartitionSize = 8
-	cfg.NoiseChunk = 10 // far below the pooled benign-noise size, so chunking engages
-
-	ref, err := pipeline.Process(inputs, seededCorpus(day), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripTimings(&ref)
-
-	for _, shards := range []int{1, 2, 4, 8} {
-		scfg := cfg
-		scfg.Clusterer = NewCoordinator(NewLoopback(residentWorkers(shards)))
-		got, err := pipeline.Process(inputs, seededCorpus(day), scfg)
-		if err != nil {
-			t.Fatalf("shards=%d: %v", shards, err)
-		}
-		stripTimings(&got)
-		if !reflect.DeepEqual(ref.Clusters, got.Clusters) || !reflect.DeepEqual(ref.Signatures, got.Signatures) {
-			t.Fatalf("shards=%d: chunked-noise sharded output diverges from single-process", shards)
-		}
-	}
-}
-
-// dyingV3Transport forwards both wire generations to an inner fleet until
+// dyingV3Transport forwards every request to an inner fleet until
 // the first /edges3 request reaches dieShard — from then on that shard
 // fails every request, modeling a worker crashing at the start of the
 // edge wave with its resident set (and the coordinator's beliefs about
@@ -161,13 +130,6 @@ func (d *dyingV3Transport) Partition(ctx context.Context, shard int, req *Partit
 	return d.inner.Partition(ctx, shard, req)
 }
 
-func (d *dyingV3Transport) Edges(ctx context.Context, shard int, req *EdgeRequest) (*EdgeResponse, error) {
-	if shard == d.dieShard && d.dead.Load() {
-		return nil, d.fail()
-	}
-	return d.inner.Edges(ctx, shard, req)
-}
-
 func (d *dyingV3Transport) EdgesV3(ctx context.Context, shard int, req *EdgeRequestV3) (*EdgeResponseV3, error) {
 	if shard == d.dieShard {
 		d.dead.Store(true)
@@ -193,7 +155,7 @@ func TestShardedAffinityFailoverMidEdgeSweep(t *testing.T) {
 	}
 	stripTimings(&ref)
 
-	dying := &dyingV3Transport{inner: NewLoopback(residentWorkers(2)), dieShard: 0}
+	dying := &dyingV3Transport{inner: NewLoopback(residentWorkers(2, 32<<20)), dieShard: 0}
 	scfg := cfg
 	scfg.Clusterer = NewCoordinator(dying)
 	got, err := pipeline.Process(inputs, seededCorpus(day), scfg)
@@ -215,7 +177,7 @@ func TestShardedAffinityFailoverMidEdgeSweep(t *testing.T) {
 // the whole job, and still return the correct pairs — two round trips,
 // never a wrong answer, never a livelock.
 func TestCoordinatorEdgesV3StaleResidencyRefill(t *testing.T) {
-	c := NewCoordinator(NewLoopback(residentWorkers(1)))
+	c := NewCoordinator(NewLoopback(residentWorkers(1, 32<<20)))
 	seqs := seqsOf("abcd", "abcd", "zzzzzzzzzzzz")
 	keys := make([]pipeline.SeqKey, len(seqs))
 	for i, s := range seqs {
@@ -240,8 +202,8 @@ func TestCoordinatorEdgesV3StaleResidencyRefill(t *testing.T) {
 }
 
 // TestWorkerEdgesV3HTTP exercises the digest-first /edges3 surface: key
-// resolution, the Missing answer, fill verification, and the capability
-// 404 on a worker running without a resident set.
+// resolution, the Missing answer, fill verification, and rejection of
+// malformed, out-of-alphabet, and out-of-range jobs.
 func TestWorkerEdgesV3HTTP(t *testing.T) {
 	w := NewWorker(WithWorkerCache(contentcache.New(1<<20)), WithWorkerResidentBudget(1<<20))
 	client := &http.Client{Transport: handlerRoundTripper{
@@ -329,18 +291,35 @@ func TestWorkerEdgesV3HTTP(t *testing.T) {
 		t.Fatalf("malformed body: got %d, want 400", resp.StatusCode)
 	}
 
-	// A worker without a resident set does not serve the endpoint at all —
-	// the 404 is the capability answer the coordinator's fallback reads.
-	plain := NewWorker(WithWorkerCache(contentcache.New(1 << 20)))
-	pclient := &http.Client{Transport: handlerRoundTripper{
-		handlers: map[string]http.Handler{"p.loopback": plain.Handler()},
-	}}
-	presp, err := pclient.Post("http://p.loopback/edges3", "application/json", strings.NewReader(marshal(cold)))
+	// Fills are wire sequences like any other: an odd packed length and a
+	// symbol outside the alphabet (0xFFFF packed little-endian) are 400s.
+	for name, body := range map[string]string{
+		"odd packed length": `{"eps":0.5,"keys":["AAAAAAAAAAAAAAAAAAAAAAAAAAA="],"fillAt":[0],"fill":["QUJD"],"rows":[0]}`,
+		"out of alphabet":   `{"eps":0.5,"keys":["AAAAAAAAAAAAAAAAAAAAAAAAAAA="],"fillAt":[0],"fill":["//8="],"rows":[0]}`,
+	} {
+		if resp, _ := post(body); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("%s: got %d, want 400", name, resp.StatusCode)
+		}
+	}
+	// Sweep bounds: rows out of range and non-positive eps are rejected;
+	// eps >= 1 saturates (everything matches) like every other pipeline
+	// path.
+	outOfRange := full
+	outOfRange.Rows = []int{0, 1, 3}
+	if resp, _ := post(marshal(outOfRange)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("row out of range: got %d, want 400", resp.StatusCode)
+	}
+	badEps := full
+	badEps.Eps = -0.5
+	if resp, _ := post(marshal(badEps)); resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("bad eps: got %d, want 400", resp.StatusCode)
+	}
+	hresp, err := client.Get("http://w.loopback/edges3")
 	if err != nil {
 		t.Fatal(err)
 	}
-	presp.Body.Close()
-	if presp.StatusCode != http.StatusNotFound {
-		t.Fatalf("no resident set: got %d, want 404", presp.StatusCode)
+	hresp.Body.Close()
+	if hresp.StatusCode != http.StatusMethodNotAllowed {
+		t.Fatalf("GET /edges3: got %d, want 405", hresp.StatusCode)
 	}
 }

@@ -2,7 +2,6 @@ package shardcoord
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/bits"
 	"sync"
@@ -17,51 +16,29 @@ import (
 type Transport interface {
 	// Shards reports how many shard workers are reachable.
 	Shards() int
-	// Partition executes req on the given shard (0 ≤ shard < Shards).
+	// Partition clusters and pre-reduces one partition on the given shard
+	// (0 ≤ shard < Shards).
 	Partition(ctx context.Context, shard int, req *PartitionRequest) (*PartitionResponse, error)
-	// Edges executes a distance-sweep job on the given shard. A transport
-	// talking to a worker that predates protocol v2 returns ErrUnsupported,
-	// which makes the coordinator run the job itself.
-	Edges(ctx context.Context, shard int, req *EdgeRequest) (*EdgeResponse, error)
-}
-
-// TransportV3 is the optional digest-first edge capability (protocol v3).
-// A transport that implements it lets the coordinator ship content keys
-// instead of sequence bytes on the edge path; ErrUnsupported from EdgesV3
-// means the worker lacks the endpoint and the job repeats over plain
-// Edges. Transports that don't implement the interface at all simply
-// never see v3 traffic — the Transport interface itself is unchanged.
-type TransportV3 interface {
+	// EdgesV3 runs one digest-first distance sweep on the given shard.
 	EdgesV3(ctx context.Context, shard int, req *EdgeRequestV3) (*EdgeResponseV3, error)
 }
 
-// ErrUnsupported reports that a shard worker does not implement the
-// requested protocol-v2 operation (an old binary). The coordinator treats
-// it as a capability miss — the work runs coordinator-side — rather than
-// a shard failure.
-var ErrUnsupported = errors.New("shardcoord: operation not supported by worker")
-
-// Coordinator implements pipeline.Clusterer and pipeline.StreamClusterer
-// over a Transport: shards pull work units from a shared queue (one unit
-// in flight per shard — an idle machine immediately takes the next unit,
-// so skewed costs still balance). In streaming mode units are consumed as
-// the pipeline emits them — partitions while the host is still
-// deduplicating, then the reduce step's edge sweeps — and results are
-// matched back by sequence number, so arrival order never affects output.
+// Coordinator implements pipeline.Clusterer over a Transport: shards pull
+// work units from a shared queue (one unit in flight per shard — an idle
+// machine immediately takes the next unit, so skewed costs still
+// balance). Units are consumed as the pipeline emits them — partitions
+// while the host is still deduplicating, then the reduce step's edge
+// sweeps — and results are matched back by sequence number, so arrival
+// order never affects output.
 type Coordinator struct {
 	transport Transport
 	// retries is how many times a failed unit is retried on the next
-	// shard (round-robin) before the batch fails.
+	// shard (round-robin) before the stream fails.
 	retries int
 	// sequential processes units one after another (profiling mode)
 	// instead of concurrently.
 	sequential bool
 
-	// v3 is the transport's digest-first capability, nil when the
-	// transport doesn't implement it. noAffinity disables the whole
-	// locality layer (routing, placement, v3 wire) even when available.
-	v3         TransportV3
-	noAffinity bool
 	// schedSeed/shardPerm implement the seeded schedule permutation: the
 	// pull queue's shard choice is relabeled through a fixed seeded
 	// permutation, so a certification verifier's run schedules work onto
@@ -71,25 +48,15 @@ type Coordinator struct {
 	shardPerm []int
 	// resident maps each sequence key to a bitmask of shards believed to
 	// hold it (bit s = shard s; shards ≥64 are never tracked). "Believed"
-	// because workers evict and die — the v3 protocol's refill round
+	// because workers evict and die — the edge protocol's refill round
 	// corrects stale entries, and invalidateShard drops a shard's bits
 	// after a dispatch failure.
 	affMu    sync.Mutex
 	resident map[pipeline.SeqKey]uint64
-	// v3cap caches each shard's answer to the /edges3 capability dance so
-	// an old worker is asked exactly once per coordinator.
-	v3cap []atomic.Int32
 
 	schedMu    sync.Mutex
 	schedTotal ScheduleStats
 }
-
-// v3cap states.
-const (
-	capUnknown int32 = iota
-	capYes
-	capNo
-)
 
 // ScheduleStats accumulates the simulated fleet schedule measured under
 // sequential dispatch (see WithSequentialDispatch): per-shard busy time,
@@ -116,19 +83,9 @@ type ScheduleStats struct {
 type CoordinatorOption func(*Coordinator)
 
 // WithRetries sets how many alternative shards a failed work unit is
-// retried on before the whole batch errors (default 1: one failover).
+// retried on before the whole stream errors (default 1: one failover).
 func WithRetries(n int) CoordinatorOption {
 	return func(c *Coordinator) { c.retries = n }
-}
-
-// WithoutAffinity disables locality-aware edge routing and the v3
-// digest-first wire, even on a transport that supports them: every edge
-// job ships its sequences inline over protocol v2 and is scheduled purely
-// by the pull queue. This is the differential-testing lever (affinity on
-// and off must produce identical clusters) and the escape hatch if a
-// fleet's resident sets misbehave.
-func WithoutAffinity() CoordinatorOption {
-	return func(c *Coordinator) { c.noAffinity = true }
 }
 
 // WithSchedulePermutation relabels every pull-queue shard choice through
@@ -157,34 +114,14 @@ func WithSequentialDispatch() CoordinatorOption {
 
 // NewCoordinator builds a coordinator over a transport.
 func NewCoordinator(t Transport, opts ...CoordinatorOption) *Coordinator {
-	c := &Coordinator{transport: t, retries: 1}
+	c := &Coordinator{transport: t, retries: 1, resident: make(map[pipeline.SeqKey]uint64)}
 	for _, opt := range opts {
 		opt(c)
-	}
-	c.v3, _ = t.(TransportV3)
-	if c.v3 != nil && !c.noAffinity {
-		c.resident = make(map[pipeline.SeqKey]uint64)
-		c.v3cap = make([]atomic.Int32, t.Shards())
 	}
 	if c.schedSeed != 0 && t.Shards() > 1 {
 		c.shardPerm = pipeline.SeededPerm(t.Shards(), uint64(c.schedSeed))
 	}
 	return c
-}
-
-// PathDescriptor summarizes a coordinator's scheduling configuration for
-// provenance records (sigdb attestations carry one per compile path).
-type PathDescriptor struct {
-	Shards   int   `json:"shards"`
-	Affinity bool  `json:"affinity"`
-	Seed     int64 `json:"seed"`
-}
-
-// Describe reports the coordinator's path descriptor: fleet size,
-// whether the locality layer is active, and the schedule-permutation
-// seed (0 = canonical schedule).
-func (c *Coordinator) Describe() PathDescriptor {
-	return PathDescriptor{Shards: c.transport.Shards(), Affinity: c.affinityOn(), Seed: c.schedSeed}
 }
 
 // permShard applies the seeded schedule permutation to a pull-queue
@@ -196,7 +133,7 @@ func (c *Coordinator) permShard(s int) int {
 	return c.shardPerm[s%len(c.shardPerm)]
 }
 
-// StreamWorkers reports the fleet size (pipeline.StreamClusterer).
+// StreamWorkers reports the fleet size (pipeline.Clusterer).
 func (c *Coordinator) StreamWorkers() int { return c.transport.Shards() }
 
 // WireBytes reports the transport's cumulative wire traffic (total and
@@ -209,18 +146,12 @@ func (c *Coordinator) WireBytes() (total, edges int64) {
 	return 0, 0
 }
 
-// affinityOn reports whether the locality layer is active.
-func (c *Coordinator) affinityOn() bool { return c.resident != nil }
-
-// PlaceRows implements pipeline.RowPlacer: for each key, the shard
+// PlaceRows implements pipeline.Clusterer: for each key, the shard
 // believed to hold that sequence (lowest set residency bit), or -1. The
 // pipeline uses the placement to compose shard-pure edge jobs — per-group
 // triangles plus cross-group rectangles — so that a routed job finds
 // (nearly) all of its bytes already resident.
 func (c *Coordinator) PlaceRows(keys []pipeline.SeqKey) []int {
-	if !c.affinityOn() {
-		return nil
-	}
 	out := make([]int, len(keys))
 	c.affMu.Lock()
 	for i, k := range keys {
@@ -235,9 +166,9 @@ func (c *Coordinator) PlaceRows(keys []pipeline.SeqKey) []int {
 
 // recordResident marks every key as resident on the shard after a round
 // trip that shipped (or confirmed) the sequences there: a clustered
-// partition, a v2 edge job, or a v3 job's fills.
+// partition or an edge job.
 func (c *Coordinator) recordResident(shard int, keys []pipeline.SeqKey) {
-	if !c.affinityOn() || shard >= 64 || len(keys) == 0 {
+	if shard >= 64 || len(keys) == 0 {
 		return
 	}
 	mask := uint64(1) << shard
@@ -252,7 +183,7 @@ func (c *Coordinator) recordResident(shard int, keys []pipeline.SeqKey) {
 // after a dispatch failure there: the worker may have died, and a
 // restarted worker starts with an empty resident set.
 func (c *Coordinator) invalidateShard(shard int) {
-	if !c.affinityOn() || shard >= 64 {
+	if shard >= 64 {
 		return
 	}
 	keep := ^(uint64(1) << shard)
@@ -276,7 +207,7 @@ func (c *Coordinator) invalidateShard(shard int) {
 // unit's cost to the shard that actually served it.
 func (c *Coordinator) routeUnit(unit pipeline.WorkUnit, fallback int) int {
 	fallback = c.permShard(fallback)
-	if !c.affinityOn() || unit.Edges == nil || len(unit.Edges.Keys) == 0 {
+	if unit.Edges == nil {
 		return fallback
 	}
 	shards := c.transport.Shards()
@@ -316,109 +247,11 @@ func (c *Coordinator) ScheduleTotals() ScheduleStats {
 	return out
 }
 
-// ClusterPartitions dispatches every partition in one batch and collects
-// the results, ordered by partition index (protocol v1 — pre-reduce and
-// the reduce sweeps stay with the caller). The first unrecoverable
-// failure cancels the remaining work.
-func (c *Coordinator) ClusterPartitions(parts []pipeline.ShardPartition, cfg pipeline.Config) ([]pipeline.ShardClusters, error) {
-	shards := c.transport.Shards()
-	if shards < 1 {
-		return nil, fmt.Errorf("shardcoord: transport has no shards")
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	results := make([]pipeline.ShardClusters, len(parts))
-	// The root cause is the FIRST recorded error: once it cancels ctx,
-	// the other shards' in-flight requests fail with context.Canceled,
-	// which must not mask it.
-	var errOnce sync.Once
-	var firstErr error
-	one := func(shard, pi int) bool {
-		req := &PartitionRequest{Eps: cfg.Eps, MinPts: cfg.MinPts, Partition: parts[pi], Profile: cfg.ProfileID()}
-		resp, _, err := c.dispatchPartition(ctx, shard, req)
-		if err != nil {
-			errOnce.Do(func() {
-				firstErr = fmt.Errorf("partition %d on shard %d: %w", pi, shard, err)
-				cancel()
-			})
-			return false
-		}
-		results[pi] = resp.ShardClusters
-		return true
-	}
-	if c.sequential {
-		// Serial simulation of the shared-queue schedule: each partition
-		// goes to the shard that would be idle first. In batch mode every
-		// partition is available up front, so the modeled makespan is the
-		// busiest shard's total.
-		busy := make([]time.Duration, shards)
-		for pi := range parts {
-			if ctx.Err() != nil {
-				break
-			}
-			shard := 0
-			for s := 1; s < shards; s++ {
-				if busy[s] < busy[shard] {
-					shard = s
-				}
-			}
-			start := time.Now()
-			if !one(c.permShard(shard), pi) {
-				break
-			}
-			busy[shard] += time.Since(start)
-		}
-		c.schedMu.Lock()
-		if len(c.schedTotal.Busy) != shards {
-			c.schedTotal.Busy = make([]time.Duration, shards)
-		}
-		var makespan time.Duration
-		for s := range busy {
-			c.schedTotal.Busy[s] += busy[s]
-			if busy[s] > makespan {
-				makespan = busy[s]
-			}
-		}
-		c.schedTotal.Makespan += makespan
-		c.schedTotal.PartitionUnits += len(parts)
-		c.schedTotal.Runs++
-		c.schedMu.Unlock()
-	} else {
-		// Shared queue: each shard pulls the next partition the moment it
-		// finishes its current one, so skewed partition costs balance.
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for s := 0; s < shards; s++ {
-			wg.Add(1)
-			go func(shard int) {
-				defer wg.Done()
-				for {
-					pi := int(next.Add(1)) - 1
-					if pi >= len(parts) || ctx.Err() != nil {
-						return
-					}
-					if !one(c.permShard(shard), pi) {
-						return
-					}
-				}
-			}(s)
-		}
-		wg.Wait()
-	}
-	if firstErr != nil {
-		return nil, fmt.Errorf("shardcoord: %w", firstErr)
-	}
-	return results, nil
-}
-
 // ClusterStream consumes work units as the pipeline emits them and
-// returns one result per unit (pipeline.StreamClusterer). Partition units
-// are clustered and pre-reduced on the shard (protocol v2; workers that
-// answer without a summary get pre-reduced coordinator-side), edge units
-// run the reduce's distance sweeps. After a terminal failure every
-// subsequent unit is drained with the root error attached, so the
-// pipeline never blocks.
+// returns one result per unit (pipeline.Clusterer). Partition units are
+// clustered and pre-reduced on the shard, edge units run the reduce's
+// distance sweeps. After a terminal failure every subsequent unit is
+// drained with the root error attached, so the pipeline never blocks.
 func (c *Coordinator) ClusterStream(work <-chan pipeline.WorkUnit, cfg pipeline.Config) <-chan pipeline.WorkResult {
 	out := make(chan pipeline.WorkResult)
 	shards := c.transport.Shards()
@@ -566,7 +399,6 @@ func (c *Coordinator) executeUnit(ctx context.Context, shard int, unit pipeline.
 			Eps:       cfg.Eps,
 			MinPts:    cfg.MinPts,
 			Partition: *unit.Partition,
-			PreReduce: !cfg.DisableShardPreReduce,
 			Profile:   cfg.ProfileID(),
 		}
 		resp, served, err := c.dispatchPartition(ctx, shard, req)
@@ -574,29 +406,11 @@ func (c *Coordinator) executeUnit(ctx context.Context, shard int, unit pipeline.
 			return pipeline.WorkResult{Seq: unit.Seq, Err: fmt.Errorf("partition unit %d on shard %d: %w", unit.Seq, shard, err)}
 		}
 		c.recordResident(served, unit.Partition.Keys)
-		reduced := resp.Reduced
-		if reduced == nil {
-			// v1 worker (or pre-reduce disabled): compute the summary here;
-			// it is a pure function of the partition, so the output is
-			// unchanged. The response is untrusted wire data — validate its
-			// indices before the pre-reduce kernels index the partition.
-			if err := pipeline.CheckShardClusters(resp.ShardClusters, len(unit.Partition.Seqs)); err != nil {
-				return pipeline.WorkResult{Seq: unit.Seq, Err: fmt.Errorf("partition unit %d on shard %d: %w", unit.Seq, shard, err)}
-			}
-			r := pipeline.PreReducePartition(*unit.Partition, resp.ShardClusters, cfg)
-			reduced = &r
-		}
-		return pipeline.WorkResult{Seq: unit.Seq, Reduced: reduced}
+		// The summary is untrusted wire data; the pipeline validates it
+		// before mapping its indices.
+		return pipeline.WorkResult{Seq: unit.Seq, Reduced: &resp.Reduced}
 	case unit.Edges != nil:
 		el, err := c.dispatchEdgeJob(ctx, shard, unit.Edges, cfg.ProfileID())
-		if errors.Is(err, ErrUnsupported) {
-			// Old fleet: run the sweep coordinator-side rather than failing.
-			lel, lerr := pipeline.SweepEdges(*unit.Edges, cfg.Workers, cfg.Cache)
-			if lerr != nil {
-				return pipeline.WorkResult{Seq: unit.Seq, Err: lerr}
-			}
-			return pipeline.WorkResult{Seq: unit.Seq, Edges: &lel}
-		}
 		if err != nil {
 			return pipeline.WorkResult{Seq: unit.Seq, Err: fmt.Errorf("edge unit %d on shard %d: %w", unit.Seq, shard, err)}
 		}
@@ -608,7 +422,7 @@ func (c *Coordinator) executeUnit(ctx context.Context, shard int, unit pipeline.
 
 // dispatchPartition sends one partition request, failing over to
 // subsequent shards up to the retry budget. A dead worker therefore slows
-// the batch rather than killing it. Returns the shard that actually
+// the stream rather than killing it. Returns the shard that actually
 // served the request so residency is recorded against it.
 func (c *Coordinator) dispatchPartition(ctx context.Context, shard int, req *PartitionRequest) (*PartitionResponse, int, error) {
 	shards := c.transport.Shards()
@@ -628,11 +442,18 @@ func (c *Coordinator) dispatchPartition(ctx context.Context, shard int, req *Par
 	return nil, 0, lastErr
 }
 
-// dispatchEdgeJob sends one edge job with the v2 failover policy, trying
-// the digest-first v3 wire first on capable shards. A v3 capability miss
-// falls back to v2 on the same shard; a v2 ErrUnsupported is returned
-// as-is (capability miss — the coordinator sweeps locally, not failover).
+// dispatchEdgeJob sends one digest-first edge job, failing over to
+// subsequent shards up to the retry budget. Per shard the protocol is two
+// rounds at most: round 0 fills only the sequences the residency map says
+// the shard lacks; if the worker still reports misses (it evicted, or died
+// and restarted since the map was recorded), round 1 fills every position
+// — a worker resolves fills before its resident set, so a second-round
+// miss is impossible on a correct worker and is treated as a shard
+// failure.
 func (c *Coordinator) dispatchEdgeJob(ctx context.Context, shard int, job *pipeline.EdgeJob, profile string) (*pipeline.EdgeList, error) {
+	if len(job.Keys) != len(job.Seqs) {
+		return nil, fmt.Errorf("shardcoord: edge job carries %d keys for %d sequences", len(job.Keys), len(job.Seqs))
+	}
 	shards := c.transport.Shards()
 	var lastErr error
 	for attempt := 0; attempt <= c.retries; attempt++ {
@@ -640,50 +461,26 @@ func (c *Coordinator) dispatchEdgeJob(ctx context.Context, shard int, job *pipel
 			return nil, ctx.Err()
 		}
 		s := (shard + attempt) % shards
-		el, err, handled := c.tryEdgesV3(ctx, s, job, profile)
-		if handled {
-			if err == nil {
-				c.recordResident(s, job.Keys)
-				return el, nil
-			}
-			lastErr = err
-			c.invalidateShard(s)
-			continue
-		}
-		resp, err := c.transport.Edges(ctx, s, &EdgeRequest{Job: *job, Profile: profile})
+		el, err := c.sweepOn(ctx, s, job, profile)
 		if err == nil {
-			// v2 shipped the sequences inline; a resident-set worker
-			// installed them, so record the shard for future routing.
 			c.recordResident(s, job.Keys)
-			return &resp.EdgeList, nil
+			return el, nil
 		}
 		lastErr = err
-		if errors.Is(err, ErrUnsupported) {
-			return nil, err
-		}
 		c.invalidateShard(s)
 	}
 	return nil, lastErr
 }
 
-// tryEdgesV3 attempts one digest-first round trip. handled=false means v3
-// was not applicable (no capability, affinity off, or the job carries no
-// keys) and the caller should use the v2 wire on the same shard. The
-// protocol is two rounds at most: round 0 fills only the sequences the
-// residency map says the shard lacks; if the worker still reports misses
-// (it evicted, or died and restarted since the map was recorded), round 1
-// fills every position — a worker resolves fills before its resident set,
-// so a second-round miss is impossible on a correct worker and is treated
-// as a shard failure.
-func (c *Coordinator) tryEdgesV3(ctx context.Context, shard int, job *pipeline.EdgeJob, profile string) (*pipeline.EdgeList, error, bool) {
-	if !c.affinityOn() || shard >= 64 || len(job.Keys) != len(job.Seqs) || len(job.Keys) == 0 {
-		return nil, nil, false
-	}
-	if c.v3cap[shard].Load() == capNo {
-		return nil, nil, false
-	}
+// sweepOn runs one edge job on one shard: fills for the keys the
+// residency map does not place there, then a full refill if the worker
+// reports misses.
+func (c *Coordinator) sweepOn(ctx context.Context, shard int, job *pipeline.EdgeJob, profile string) (*pipeline.EdgeList, error) {
 	req := &EdgeRequestV3{Eps: job.Eps, Keys: job.Keys, Rows: job.Rows, Cols: job.Cols, Profile: profile}
-	mask := uint64(1) << shard
+	var mask uint64
+	if shard < 64 {
+		mask = uint64(1) << shard
+	}
 	c.affMu.Lock()
 	for i, k := range job.Keys {
 		if c.resident[k]&mask == 0 {
@@ -693,20 +490,15 @@ func (c *Coordinator) tryEdgesV3(ctx context.Context, shard int, job *pipeline.E
 	}
 	c.affMu.Unlock()
 	for round := 0; ; round++ {
-		resp, err := c.v3.EdgesV3(ctx, shard, req)
-		if errors.Is(err, ErrUnsupported) {
-			c.v3cap[shard].Store(capNo)
-			return nil, nil, false
-		}
+		resp, err := c.transport.EdgesV3(ctx, shard, req)
 		if err != nil {
-			return nil, err, true
+			return nil, err
 		}
-		c.v3cap[shard].Store(capYes)
 		if len(resp.Missing) == 0 {
-			return &resp.EdgeList, nil, true
+			return &resp.EdgeList, nil
 		}
 		if round >= 1 {
-			return nil, fmt.Errorf("shardcoord: shard %d still missing %d sequences after a full refill", shard, len(resp.Missing)), true
+			return nil, fmt.Errorf("shardcoord: shard %d still missing %d sequences after a full refill", shard, len(resp.Missing))
 		}
 		// The residency map was stale — drop everything recorded for this
 		// shard and refill the whole job.

@@ -125,48 +125,6 @@ func TestShardedMatchesSingleProcess(t *testing.T) {
 	}
 }
 
-// TestShardedBatchMatchesStream pins dispatch-mode identity through the
-// coordinator: protocol-v1 batch dispatch, streamed v2 dispatch, and
-// coordinator-side pre-reduce must all produce the single-process output.
-func TestShardedBatchMatchesStream(t *testing.T) {
-	day := ekit.Date(8, 9)
-	inputs := dayInputs(t, day, 90)
-	cfg := pipeline.DefaultConfig()
-	cfg.PartitionSize = 8
-
-	ref, err := pipeline.Process(inputs, seededCorpus(day), cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripTimings(&ref)
-
-	for _, mode := range []struct {
-		name   string
-		mutate func(*pipeline.Config)
-	}{
-		{"batch", func(c *pipeline.Config) { c.BatchDispatch = true }},
-		{"stream", func(c *pipeline.Config) {}},
-		{"coordinatorPreReduce", func(c *pipeline.Config) { c.DisableShardPreReduce = true }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			scfg := cfg
-			scfg.Clusterer = NewCoordinator(NewLoopback(loopbackWorkers(3, true)))
-			mode.mutate(&scfg)
-			got, err := pipeline.Process(inputs, seededCorpus(day), scfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stripTimings(&got)
-			if !reflect.DeepEqual(ref.Clusters, got.Clusters) || !reflect.DeepEqual(ref.Signatures, got.Signatures) {
-				t.Fatal("dispatch mode diverged from single-process output")
-			}
-			if mode.name == "stream" && got.Stats.EdgeJobs == 0 {
-				t.Fatal("streamed run dispatched no edge jobs")
-			}
-		})
-	}
-}
-
 // delayTransport perturbs scheduling: every request sleeps a
 // pseudo-random (seed-dependent) amount before executing, so work lands
 // on different shards in a different order on every seed.
@@ -189,9 +147,9 @@ func (d *delayTransport) Partition(ctx context.Context, shard int, req *Partitio
 	return d.inner.Partition(ctx, shard, req)
 }
 
-func (d *delayTransport) Edges(ctx context.Context, shard int, req *EdgeRequest) (*EdgeResponse, error) {
+func (d *delayTransport) EdgesV3(ctx context.Context, shard int, req *EdgeRequestV3) (*EdgeResponseV3, error) {
 	d.delay()
-	return d.inner.Edges(ctx, shard, req)
+	return d.inner.EdgesV3(ctx, shard, req)
 }
 
 // TestHierarchicalReduceOrderInvariant is the tentpole's property test:
@@ -229,7 +187,10 @@ func TestHierarchicalReduceOrderInvariant(t *testing.T) {
 }
 
 // dyingTransport lets a shard answer successfully a fixed number of times
-// and then fail forever — a worker dying mid-stream.
+// and then fail forever — a worker dying mid-stream. The first request to
+// any other shard is held until dieShard has died (or a timeout passes),
+// so the shared pull queue must hand dieShard its fatal unit however the
+// goroutines are scheduled.
 type dyingTransport struct {
 	inner     Transport
 	dieShard  int
@@ -237,18 +198,33 @@ type dyingTransport struct {
 	mu        sync.Mutex
 	answered  int
 	failed    int
+	died      chan struct{}
+	held      atomic.Bool
+}
+
+func newDyingTransport(inner Transport, dieShard, surviving int) *dyingTransport {
+	return &dyingTransport{inner: inner, dieShard: dieShard, surviving: surviving, died: make(chan struct{})}
 }
 
 func (d *dyingTransport) Shards() int { return d.inner.Shards() }
 
 func (d *dyingTransport) dead(shard int) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if shard != d.dieShard {
+		if d.held.CompareAndSwap(false, true) {
+			select {
+			case <-d.died:
+			case <-time.After(10 * time.Second):
+			}
+		}
 		return false
 	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	if d.answered >= d.surviving {
 		d.failed++
+		if d.failed == 1 {
+			close(d.died)
+		}
 		return true
 	}
 	d.answered++
@@ -262,11 +238,11 @@ func (d *dyingTransport) Partition(ctx context.Context, shard int, req *Partitio
 	return d.inner.Partition(ctx, shard, req)
 }
 
-func (d *dyingTransport) Edges(ctx context.Context, shard int, req *EdgeRequest) (*EdgeResponse, error) {
+func (d *dyingTransport) EdgesV3(ctx context.Context, shard int, req *EdgeRequestV3) (*EdgeResponseV3, error) {
 	if d.dead(shard) {
 		return nil, fmt.Errorf("shard %d died mid-stream", shard)
 	}
-	return d.inner.Edges(ctx, shard, req)
+	return d.inner.EdgesV3(ctx, shard, req)
 }
 
 // TestStreamFailoverMidStream kills one shard after its first few answers
@@ -284,11 +260,8 @@ func TestStreamFailoverMidStream(t *testing.T) {
 	}
 	stripTimings(&ref)
 
-	dying := &dyingTransport{
-		inner:     NewLoopback(loopbackWorkers(2, false)),
-		dieShard:  0,
-		surviving: 3, // shard 0 answers three units, then dies
-	}
+	// Shard 0 answers three units, then dies.
+	dying := newDyingTransport(NewLoopback(loopbackWorkers(2, false)), 0, 3)
 	scfg := cfg
 	scfg.Clusterer = NewCoordinator(dying)
 	got, err := pipeline.Process(inputs, seededCorpus(day), scfg)
@@ -379,12 +352,12 @@ func (f *flakyTransport) Partition(ctx context.Context, shard int, req *Partitio
 	return f.inner.Partition(ctx, 0, req)
 }
 
-func (f *flakyTransport) Edges(ctx context.Context, shard int, req *EdgeRequest) (*EdgeResponse, error) {
+func (f *flakyTransport) EdgesV3(ctx context.Context, shard int, req *EdgeRequestV3) (*EdgeResponseV3, error) {
 	if shard == f.deadShard || f.deadShard == -1 {
 		f.failed++
 		return nil, fmt.Errorf("shard %d is down", shard)
 	}
-	return f.inner.Edges(ctx, 0, req)
+	return f.inner.EdgesV3(ctx, 0, req)
 }
 
 // TestWorkerHandlerHTTP exercises the worker's HTTP surface through the
@@ -431,8 +404,9 @@ func TestWorkerHandlerHTTP(t *testing.T) {
 		t.Fatalf("healthz: got %d", hresp.StatusCode)
 	}
 
-	// A well-formed request round-trips and matches the local computation:
-	// two identical short sequences cluster, the long outlier is noise.
+	// A well-formed request round-trips as the pre-reduced summary of the
+	// local computation: two identical short sequences cluster, the long
+	// outlier stays noise.
 	body, _ := json.Marshal(&PartitionRequest{
 		Eps:    0.5,
 		MinPts: 2,
@@ -453,104 +427,8 @@ func TestWorkerHandlerHTTP(t *testing.T) {
 	if err := json.NewDecoder(resp2.Body).Decode(&pr); err != nil {
 		t.Fatal(err)
 	}
-	if len(pr.Clusters) != 1 || len(pr.Clusters[0]) != 2 || len(pr.Noise) != 1 {
-		t.Fatalf("unexpected clustering: clusters=%v noise=%v", pr.Clusters, pr.Noise)
-	}
-	if pr.Reduced != nil {
-		t.Fatal("v1 request (no preReduce) answered with a summary")
-	}
-
-	// Protocol v2: preReduce returns the compacted summary alongside.
-	body2, _ := json.Marshal(&PartitionRequest{
-		Eps:    0.5,
-		MinPts: 2,
-		Partition: pipeline.ShardPartition{
-			Seqs:    seqsOf("ab", "ab", "zzzzzz"),
-			Weights: []int{1, 1, 1},
-		},
-		PreReduce: true,
-	})
-	resp3, err := client.Post("http://w.loopback/partition", "application/json", strings.NewReader(string(body2)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp3.Body.Close()
-	var pr2 PartitionResponse
-	if err := json.NewDecoder(resp3.Body).Decode(&pr2); err != nil {
-		t.Fatal(err)
-	}
-	if pr2.Reduced == nil || len(pr2.Reduced.Clusters) != 1 || len(pr2.Reduced.Reps) != 1 {
-		t.Fatalf("v2 request returned summary %+v", pr2.Reduced)
-	}
-}
-
-// TestWorkerEdgesHTTP exercises the protocol-v2 /edges surface: valid
-// sweeps round-trip, malformed and out-of-alphabet jobs are rejected.
-func TestWorkerEdgesHTTP(t *testing.T) {
-	w := NewWorker(WithWorkerCache(contentcache.New(1 << 20)))
-	client := &http.Client{Transport: handlerRoundTripper{
-		handlers: map[string]http.Handler{"w.loopback": w.Handler()},
-	}}
-	post := func(body string) (*http.Response, string) {
-		t.Helper()
-		resp, err := client.Post("http://w.loopback/edges", "application/json", strings.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out EdgeResponse
-		dec := json.NewDecoder(resp.Body)
-		msg := ""
-		if resp.StatusCode == http.StatusOK {
-			if err := dec.Decode(&out); err != nil {
-				t.Fatal(err)
-			}
-			b, _ := json.Marshal(out.Pairs)
-			msg = string(b)
-		}
-		resp.Body.Close()
-		return resp, msg
-	}
-
-	// Valid triangular job over three sequences, two of them identical.
-	job := EdgeRequest{Job: pipeline.EdgeJob{
-		Eps:  0.5,
-		Seqs: pipeline.PackedSeqs(seqsOf("abcd", "abcd", "zzzzzzzzzzzz")),
-		Rows: []int{0, 1, 2},
-	}}
-	body, _ := json.Marshal(&job)
-	resp, pairs := post(string(body))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("valid edge job: got %d", resp.StatusCode)
-	}
-	if pairs != "[[0,1]]" {
-		t.Fatalf("edge pairs = %s, want [[0,1]]", pairs)
-	}
-
-	if resp, _ := post("{not json"); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed body: got %d, want 400", resp.StatusCode)
-	}
-	if resp, _ := post(`{"job":{"eps":0.5,"seqs":["QUJD"],"rows":[0]}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("odd packed length: got %d, want 400", resp.StatusCode)
-	}
-	if resp, _ := post(`{"job":{"eps":0.5,"seqs":[],"rows":[3]}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("row out of range: got %d, want 400", resp.StatusCode)
-	}
-	// eps >= 1 saturates (everything matches) like every other pipeline
-	// path; only non-positive eps is invalid.
-	if resp, _ := post(`{"job":{"eps":-0.5,"seqs":[],"rows":[]}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("bad eps: got %d, want 400", resp.StatusCode)
-	}
-	// Out-of-alphabet symbol (0xFFFF packed little-endian).
-	if resp, _ := post(`{"job":{"eps":0.5,"seqs":["//8="],"rows":[0]}}`); resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("out-of-alphabet symbol: got %d, want 400", resp.StatusCode)
-	}
-
-	hresp, err := client.Get("http://w.loopback/edges")
-	if err != nil {
-		t.Fatal(err)
-	}
-	hresp.Body.Close()
-	if hresp.StatusCode != http.StatusMethodNotAllowed {
-		t.Fatalf("GET /edges: got %d, want 405", hresp.StatusCode)
+	want := pipeline.ReducedPartition{Clusters: [][]int{{0, 1}}, Reps: []int{0}, Noise: []int{2}}
+	if !reflect.DeepEqual(pr.Reduced, want) {
+		t.Fatalf("summary = %+v, want %+v", pr.Reduced, want)
 	}
 }

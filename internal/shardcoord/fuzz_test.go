@@ -51,7 +51,7 @@ func fuzzPost(tb testing.TB, client *http.Client, path string, body []byte) {
 func FuzzWorkerPartition(f *testing.F) {
 	f.Add([]byte(`{"eps":0.1,"minPts":2,"partition":{"seqs":[[1,2,3],[1,2,3]],"weights":[1,2]}}`))
 	f.Add([]byte(`{"eps":0.1,"minPts":2,"partition":{"seqs":[[1,2]],"weights":[1,2]}}`))
-	f.Add([]byte(`{"eps":0.1,"minPts":2,"preReduce":true,"partition":{"seqs":[[9,9],[9,9],[60000]],"weights":[1,1,1]}}`))
+	f.Add([]byte(`{"eps":0.1,"minPts":2,"partition":{"seqs":[[9,9],[9,9],[60000]],"weights":[1,1,1]}}`))
 	f.Add([]byte(`{"partition":{"seqs":[[]],"weights":[0]}}`))
 	f.Add([]byte(`{not json`))
 	client := fuzzClient(f)
@@ -63,34 +63,11 @@ func FuzzWorkerPartition(f *testing.F) {
 	})
 }
 
-// FuzzWorkerEdges fuzzes POST /edges wire-sequence validation, including
-// the packed base64 sequence decoding.
-func FuzzWorkerEdges(f *testing.F) {
-	valid, _ := json.Marshal(&EdgeRequest{Job: pipeline.EdgeJob{
-		Eps:  0.5,
-		Seqs: pipeline.PackedSeqs(seqsOf("abcd", "abce", "zz")),
-		Rows: []int{0, 1, 2},
-	}})
-	f.Add(valid)
-	f.Add([]byte(`{"job":{"eps":0.5,"seqs":["QUJD"],"rows":[0]}}`))       // odd packed length
-	f.Add([]byte(`{"job":{"eps":0.5,"seqs":["//8="],"rows":[0]}}`))       // out-of-alphabet symbol
-	f.Add([]byte(`{"job":{"eps":0.5,"seqs":[],"rows":[7],"cols":[-1]}}`)) // bad indices
-	f.Add([]byte(`{"job":{"eps":-3,"seqs":[],"rows":[]}}`))
-	client := fuzzClient(f)
-	f.Fuzz(func(t *testing.T, body []byte) {
-		if len(body) > 1<<16 {
-			t.Skip("oversized fuzz input")
-		}
-		fuzzPost(t, client, "/edges", body)
-	})
-}
-
 // FuzzWorkerEdgesV3 fuzzes POST /edges3 — the digest-first wire's
 // decoding and fill validation: base64 key parsing, fill/position
 // alignment, duplicate and out-of-range fill positions, and the
-// fill-must-hash-to-its-key check. The worker runs with a resident set
-// (the endpoint does not exist without one), so resident resolution and
-// the Missing answer are inside the fuzzed surface too.
+// fill-must-hash-to-its-key check. Resident resolution and the Missing
+// answer are inside the fuzzed surface too.
 func FuzzWorkerEdgesV3(f *testing.F) {
 	seqs := seqsOf("abcd", "abce", "zz")
 	keys := make([]pipeline.SeqKey, len(seqs))

@@ -18,8 +18,8 @@ type HTTPTransport struct {
 	urls   []string
 	client *http.Client
 	// Cumulative request+response body bytes of successful round trips —
-	// total and the /edges (v2+v3) share. The numbers the affinity wire
-	// cache is judged by.
+	// total and the /edges3 share. The numbers the workers' resident sets
+	// are judged by.
 	wireTotal atomic.Int64
 	wireEdges atomic.Int64
 }
@@ -58,21 +58,7 @@ func (t *HTTPTransport) Partition(ctx context.Context, shard int, req *Partition
 	return &resp, nil
 }
 
-// Edges POSTs the request to the shard's /edges endpoint. A 404 or 405 —
-// a worker binary predating protocol v2 — comes back as ErrUnsupported so
-// the coordinator runs the sweep itself instead of failing over.
-func (t *HTTPTransport) Edges(ctx context.Context, shard int, req *EdgeRequest) (*EdgeResponse, error) {
-	var resp EdgeResponse
-	if err := t.post(ctx, shard, "/edges", req, &resp); err != nil {
-		return nil, err
-	}
-	return &resp, nil
-}
-
-// EdgesV3 POSTs a digest-first sweep to the shard's /edges3 endpoint. A
-// 404 or 405 — a worker without a resident set, or a binary predating
-// protocol v3 — comes back as ErrUnsupported so the coordinator repeats
-// the job over plain /edges (the same capability dance v2 introduced).
+// EdgesV3 POSTs a digest-first sweep to the shard's /edges3 endpoint.
 func (t *HTTPTransport) EdgesV3(ctx context.Context, shard int, req *EdgeRequestV3) (*EdgeResponseV3, error) {
 	var resp EdgeResponseV3
 	if err := t.post(ctx, shard, "/edges3", req, &resp); err != nil {
@@ -82,7 +68,7 @@ func (t *HTTPTransport) EdgesV3(ctx context.Context, shard int, req *EdgeRequest
 }
 
 // WireBytes reports cumulative request+response body bytes over all
-// successful round trips: total, and the /edges+/edges3 share.
+// successful round trips: total, and the /edges3 share.
 func (t *HTTPTransport) WireBytes() (total, edges int64) {
 	return t.wireTotal.Load(), t.wireEdges.Load()
 }
@@ -104,16 +90,6 @@ func (t *HTTPTransport) post(ctx context.Context, shard int, path string, req, r
 		return err
 	}
 	defer hresp.Body.Close()
-	edgePath := path == "/edges" || path == "/edges3"
-	if edgePath && (hresp.StatusCode == http.StatusNotFound || hresp.StatusCode == http.StatusMethodNotAllowed) {
-		// Only the edge endpoints postdate protocol v1, so only there does
-		// a 404/405 mean "capability missing" (→ ErrUnsupported: v3 retries
-		// over v2, v2 falls back coordinator-side). Every worker version
-		// serves /partition; a 404 on it is a misconfigured URL and falls
-		// through to the plain error.
-		io.Copy(io.Discard, io.LimitReader(hresp.Body, 512))
-		return fmt.Errorf("shard %s %s: %w", path, hresp.Status, ErrUnsupported)
-	}
 	if hresp.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 512))
 		return fmt.Errorf("shard returned %s: %s", hresp.Status, strings.TrimSpace(string(msg)))
@@ -125,10 +101,11 @@ func (t *HTTPTransport) post(ctx context.Context, shard int, path string, req, r
 	if err := json.Unmarshal(respBody, resp); err != nil {
 		return fmt.Errorf("decode %s response: %w", path, err)
 	}
-	// Count only completed round trips: the wire metric compares protocol
-	// economics, and a failed attempt retries through the same accounting.
+	// Count only completed round trips: the wire metric measures what a
+	// run shipped, and a failed attempt retries through the same
+	// accounting.
 	t.wireTotal.Add(int64(len(body) + len(respBody)))
-	if edgePath {
+	if path == "/edges3" {
 		t.wireEdges.Add(int64(len(body) + len(respBody)))
 	}
 	return nil

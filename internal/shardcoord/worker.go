@@ -16,54 +16,37 @@ import (
 	"kizzle/internal/servemetrics"
 )
 
-// maxPartitionRequestBytes caps one /partition or /edges request body. A
+// maxPartitionRequestBytes caps one /partition or /edges3 request body. A
 // work unit carries abstract symbol sequences only (two bytes per symbol
 // before framing), so 64 MiB covers units far beyond the default sizes.
 const maxPartitionRequestBytes = 64 << 20
 
 // PartitionRequest is the wire form of one clustering work unit: the
 // partition plus the two DBSCAN parameters the coordinator resolved. The
-// worker contributes its own parallelism and cache. PreReduce (protocol
-// v2) asks the worker to also pre-reduce the partition — merge clusters
-// whose representatives fall within eps and fold local noise — and answer
-// with the compacted summary; v1 workers ignore the field and answer with
-// raw clusters, which the coordinator then pre-reduces itself.
+// worker contributes its own parallelism and cache, clusters the
+// partition, and pre-reduces the result — merges clusters whose
+// representatives fall within eps and folds local noise — before
+// answering.
 type PartitionRequest struct {
 	Eps       float64                 `json:"eps"`
 	MinPts    int                     `json:"minPts"`
 	Partition pipeline.ShardPartition `json:"partition"`
-	PreReduce bool                    `json:"preReduce,omitempty"`
 	// Profile names the ingest profile whose alphabet the sequences were
 	// lexed under; empty means the default JS profile (pre-profile
 	// coordinators never send the field).
 	Profile string `json:"profile,omitempty"`
 }
 
-// PartitionResponse is the wire form of a partition's clustering result,
-// in partition-local indices. Exactly one part is populated: Reduced iff
-// the request asked for pre-reduce (the raw clusters are omitted — the
-// coordinator only reads the summary), raw ShardClusters otherwise.
+// PartitionResponse is the wire form of a partition's pre-reduced
+// clustering summary, in partition-local indices.
 type PartitionResponse struct {
-	pipeline.ShardClusters
-	Reduced *pipeline.ReducedPartition `json:"reduced,omitempty"`
+	Reduced pipeline.ReducedPartition `json:"reduced"`
 }
 
-// EdgeRequest is the wire form of one reduce distance sweep (protocol
-// v2): which pairs of the shipped sequences are within eps.
-type EdgeRequest struct {
-	Job pipeline.EdgeJob `json:"job"`
-	// Profile names the ingest profile of the job's alphabet ("" = js).
-	Profile string `json:"profile,omitempty"`
-}
-
-// EdgeResponse carries the within-eps pairs back.
-type EdgeResponse struct {
-	pipeline.EdgeList
-}
-
-// EdgeRequestV3 is the digest-first form of a distance sweep (protocol
-// v3): the job references its sequences by content address and ships raw
-// packed bytes only for the positions in FillAt (Fill aligned with it).
+// EdgeRequestV3 is the wire form of one reduce distance sweep, digest
+// first (the V3 names the protocol generation /edges3 serves): the job
+// references its sequences by content address and ships raw packed bytes
+// only for the positions in FillAt (Fill aligned with it).
 // Every other key must already sit in the worker's resident set; keys the
 // worker cannot resolve come back in EdgeResponseV3.Missing and the
 // coordinator refills them — the inline-miss dance that makes a restarted
@@ -96,7 +79,6 @@ type Worker struct {
 	resident *residentSet
 
 	partitions atomic.Int64
-	edges      atomic.Int64
 	edgesV3    atomic.Int64
 	workLat    servemetrics.Hist
 }
@@ -121,19 +103,21 @@ func WithWorkerCache(c *contentcache.Cache) WorkerOption {
 	return func(w *Worker) { w.cache = c }
 }
 
-// WithWorkerResidentBudget bounds a digest→sequence resident set (bytes;
-// 0 or negative disables it) and thereby enables the digest-first edge
-// protocol: every partition the worker clusters and every edge fill it
-// receives is kept addressable by content key, LRU-evicted within the
-// budget, so subsequent /edges3 requests ship keys instead of sequence
-// bytes. Purely an economics knob — a disabled or cold resident set makes
-// the coordinator fall back to shipping everything, never changes output.
+// DefaultResidentBudget is the resident set's byte budget unless
+// WithWorkerResidentBudget sizes it.
+const DefaultResidentBudget = 64 << 20
+
+// WithWorkerResidentBudget sizes the worker's digest→sequence resident
+// set in bytes (0 or negative keeps DefaultResidentBudget). Every
+// partition the worker clusters and every edge fill it receives is kept
+// addressable by content key, LRU-evicted within the budget, so /edges3
+// requests ship keys instead of sequence bytes. Purely an economics knob
+// — a small or cold resident set makes the coordinator fill more, never
+// changes output.
 func WithWorkerResidentBudget(bytes int) WorkerOption {
 	return func(w *Worker) {
 		if bytes > 0 {
 			w.resident = newResidentSet(int64(bytes))
-		} else {
-			w.resident = nil
 		}
 	}
 }
@@ -143,6 +127,9 @@ func NewWorker(opts ...WorkerOption) *Worker {
 	w := &Worker{workers: runtime.GOMAXPROCS(0)}
 	for _, opt := range opts {
 		opt(w)
+	}
+	if w.resident == nil {
+		w.resident = newResidentSet(DefaultResidentBudget)
 	}
 	return w
 }
@@ -175,8 +162,8 @@ func validateSeqs(seqs [][]jstoken.Symbol, profile string) error {
 	return nil
 }
 
-// Cluster executes one partition request locally — the computation behind
-// POST /partition.
+// Cluster clusters and pre-reduces one partition request locally — the
+// computation behind POST /partition.
 func (w *Worker) Cluster(req *PartitionRequest) (*PartitionResponse, error) {
 	if len(req.Partition.Seqs) != len(req.Partition.Weights) {
 		return nil, fmt.Errorf("shardcoord: %d sequences with %d weights",
@@ -191,45 +178,16 @@ func (w *Worker) Cluster(req *PartitionRequest) (*PartitionResponse, error) {
 		Workers: w.workers,
 		Cache:   w.cache,
 	}
-	if w.resident != nil {
-		// Grow the resident set: every sequence this worker clusters stays
-		// addressable by content key, so later digest-first sweeps over the
-		// partition's representatives and noise ship keys, not bytes. The
-		// keys are recomputed here — the coordinator's copy never rides the
-		// wire, and wire data is untrusted anyway.
-		for _, seq := range req.Partition.Seqs {
-			w.resident.put(pipeline.SeqKeyOf(seq), seq)
-		}
+	// Grow the resident set: every sequence this worker clusters stays
+	// addressable by content key, so later digest-first sweeps over the
+	// partition's representatives and noise ship keys, not bytes. The keys
+	// are recomputed here — the coordinator's copy never rides the wire,
+	// and wire data is untrusted anyway.
+	for _, seq := range req.Partition.Seqs {
+		w.resident.put(pipeline.SeqKeyOf(seq), seq)
 	}
 	clusters := pipeline.ClusterPartition(req.Partition, cfg)
-	if req.PreReduce {
-		// The coordinator consumes only the summary when it asked for
-		// pre-reduce; shipping the raw clusters alongside would double the
-		// response payload for no reader.
-		reduced := pipeline.PreReducePartition(req.Partition, clusters, cfg)
-		return &PartitionResponse{Reduced: &reduced}, nil
-	}
-	return &PartitionResponse{ShardClusters: clusters}, nil
-}
-
-// Edges executes one distance-sweep request locally — the computation
-// behind POST /edges.
-func (w *Worker) Edges(req *EdgeRequest) (*EdgeResponse, error) {
-	if err := validateSeqs(req.Job.Seqs, req.Profile); err != nil {
-		return nil, err
-	}
-	if w.resident != nil {
-		// A v2 sweep still feeds the resident set: fleets mixing v2 and v3
-		// coordinators warm the same cache.
-		for _, seq := range req.Job.Seqs {
-			w.resident.put(pipeline.SeqKeyOf(seq), seq)
-		}
-	}
-	list, err := pipeline.SweepEdges(req.Job, w.workers, w.cache)
-	if err != nil {
-		return nil, fmt.Errorf("shardcoord: %w", err)
-	}
-	return &EdgeResponse{EdgeList: list}, nil
+	return &PartitionResponse{Reduced: pipeline.PreReducePartition(req.Partition, clusters, cfg)}, nil
 }
 
 // EdgesV3 executes one digest-first distance sweep — the computation
@@ -239,9 +197,6 @@ func (w *Worker) Edges(req *EdgeRequest) (*EdgeResponse, error) {
 // the key), resident keys are resolved locally, and unresolvable keys
 // come back in Missing without running the sweep.
 func (w *Worker) EdgesV3(req *EdgeRequestV3) (*EdgeResponseV3, error) {
-	if w.resident == nil {
-		return nil, errResidentDisabled
-	}
 	if len(req.FillAt) != len(req.Fill) {
 		return nil, fmt.Errorf("shardcoord: %d fill positions with %d fills", len(req.FillAt), len(req.Fill))
 	}
@@ -293,34 +248,22 @@ func (w *Worker) EdgesV3(req *EdgeRequestV3) (*EdgeResponseV3, error) {
 	return &EdgeResponseV3{EdgeList: list}, nil
 }
 
-// errResidentDisabled marks a v3 request against a worker running without
-// a resident set; the HTTP layer answers 404, which coordinators read as
-// the capability miss it is.
-var errResidentDisabled = errors.New("shardcoord: digest-first edges require a resident set (WithWorkerResidentBudget)")
-
 // Handler serves the worker over HTTP:
 //
-//	POST /partition — cluster one PartitionRequest, respond PartitionResponse
-//	POST /edges     — run one EdgeRequest distance sweep, respond EdgeResponse
-//	POST /edges3    — run one digest-first EdgeRequestV3 sweep (only with a
-//	                  resident set; absent otherwise, so coordinators read
-//	                  the 404 as a capability miss and fall back to v2)
+//	POST /partition — cluster and pre-reduce one PartitionRequest, respond
+//	                  PartitionResponse
+//	POST /edges3    — run one digest-first EdgeRequestV3 sweep, respond
+//	                  EdgeResponseV3
 //	GET  /healthz   — liveness plus cache and resident-set occupancy
 func (w *Worker) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/partition", w.servePartition)
-	mux.HandleFunc("/edges", w.serveEdges)
-	if w.resident != nil {
-		mux.HandleFunc("/edges3", w.serveEdgesV3)
-	}
+	mux.HandleFunc("/edges3", w.serveEdgesV3)
 	mux.HandleFunc("/healthz", func(rw http.ResponseWriter, r *http.Request) {
 		st := w.cache.Stats()
-		fmt.Fprintf(rw, "ok cache-entries=%d cache-bytes=%d", st.Entries, st.Bytes)
-		if w.resident != nil {
-			entries, bytes := w.resident.stats()
-			fmt.Fprintf(rw, " resident-entries=%d resident-bytes=%d", entries, bytes)
-		}
-		fmt.Fprintln(rw)
+		entries, bytes := w.resident.stats()
+		fmt.Fprintf(rw, "ok cache-entries=%d cache-bytes=%d resident-entries=%d resident-bytes=%d\n",
+			st.Entries, st.Bytes, entries, bytes)
 	})
 	mux.Handle("/metrics", servemetrics.Handler(w.Metrics))
 	return mux
@@ -331,9 +274,9 @@ func (w *Worker) Handler() http.Handler {
 // occupancy.
 func (w *Worker) Metrics() map[string]any {
 	st := w.cache.Stats()
-	out := map[string]any{
+	entries, bytes := w.resident.stats()
+	return map[string]any{
 		"partitions":       w.partitions.Load(),
-		"edges":            w.edges.Load(),
 		"edges3":           w.edgesV3.Load(),
 		"work_latency":     w.workLat.Summary(),
 		"cache_entries":    st.Entries,
@@ -341,15 +284,10 @@ func (w *Worker) Metrics() map[string]any {
 		"cache_hits":       st.Hits,
 		"cache_misses":     st.Misses,
 		"cache_hit_rate":   st.HitRate(),
-		"resident_enabled": w.resident != nil,
+		"resident_entries": entries,
+		"resident_bytes":   bytes,
 		"runtime":          servemetrics.RuntimeStats(),
 	}
-	if w.resident != nil {
-		entries, bytes := w.resident.stats()
-		out["resident_entries"] = entries
-		out["resident_bytes"] = bytes
-	}
-	return out
 }
 
 // decodeBody decodes a capped JSON request body, translating oversized
@@ -380,22 +318,6 @@ func (w *Worker) servePartition(rw http.ResponseWriter, r *http.Request) {
 	w.partitions.Add(1)
 	start := time.Now()
 	resp, err := w.Cluster(&req)
-	w.workLat.Observe(time.Since(start))
-	if err != nil {
-		http.Error(rw, err.Error(), http.StatusBadRequest)
-		return
-	}
-	writeJSON(rw, resp)
-}
-
-func (w *Worker) serveEdges(rw http.ResponseWriter, r *http.Request) {
-	var req EdgeRequest
-	if !decodeBody(rw, r, &req) {
-		return
-	}
-	w.edges.Add(1)
-	start := time.Now()
-	resp, err := w.Edges(&req)
 	w.workLat.Observe(time.Since(start))
 	if err != nil {
 		http.Error(rw, err.Error(), http.StatusBadRequest)

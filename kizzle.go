@@ -192,40 +192,12 @@ func WithPartitionFanout(n int) Option {
 	}
 }
 
-// WithNoiseChunk bounds the reduce step's global noise re-clustering: a
-// pooled noise set larger than n is split into chunks of at most n unique
-// sequences, ordered by content digest, and each chunk is swept
-// independently — the quadratic sweep cost drops from pool² to
-// chunks·n², at the documented cost that cross-chunk noise pairs are not
-// tested (straggler adoption still sees the full pool). Chunk membership
-// is a pure function of content, so output stays independent of shard
-// count and scheduling. 0 (the default) disables chunking and keeps the
-// MaxNoiseRecluster skip-entirely behavior for oversized pools. A
-// negative chunk size is a configuration fault.
-func WithNoiseChunk(n int) Option {
-	return func(c *pipeline.Config) {
-		if n < 0 {
-			fault(c, "WithNoiseChunk: negative chunk size %d", n)
-			return
-		}
-		c.NoiseChunk = n
-	}
-}
-
-// WithBatchDispatch disables streaming dispatch: clustering partitions
-// are collected and dispatched in one batch after dedup completes, and
-// the reduce step's distance sweeps stay on the coordinator (the
-// protocol-v1 cost model). Output is identical to streaming; the knob
-// exists for profiling A/B runs and fleets of pre-v2 workers.
+// WithBatchDispatch has no effect: the clustering stage always streams.
+//
+// Deprecated: batch dispatch was removed; compiles stream in-process or
+// over WithShardWorkers. Use WithScheduleSeed for a diverse schedule.
 func WithBatchDispatch() Option {
-	return func(c *pipeline.Config) { c.BatchDispatch = true }
-}
-
-// WithCoordinatorPreReduce keeps the per-partition pre-reduce on the
-// coordinator instead of asking shard workers for it. Output is
-// identical; use it to shift CPU off busy workers.
-func WithCoordinatorPreReduce() Option {
-	return func(c *pipeline.Config) { c.DisableShardPreReduce = true }
+	return func(*pipeline.Config) {}
 }
 
 // WithCacheBytes bounds the compiler's content-addressed cache, which
@@ -246,16 +218,14 @@ func WithCacheBytes(n int) Option {
 // WithShardWorkers dispatches the clustering stage to remote shard
 // workers (cmd/kizzleshard processes) at the given base URLs — the
 // paper's 50-machine layout. Partitions stream to the fleet while this
-// process is still deduplicating (protocol v2), each worker pre-reduces
-// its partitions, and the reduce step's distance sweeps fan out as edge
-// jobs; only abstract symbol sequences travel, raw documents never leave
-// this process. On workers running with a resident set (kizzleshard
-// -residentmb), edge jobs are routed to the shard already holding their
-// sequences and ship 20-byte content keys instead of sequence bytes
-// (protocol v3, negotiated per worker — mixed fleets degrade gracefully
-// to v2). Output is identical to single-process operation. An empty URL
-// list keeps clustering in-process; an empty string within a non-empty
-// list is a configuration fault.
+// process is still deduplicating, each worker pre-reduces its partitions,
+// and the reduce step's distance sweeps fan out as edge jobs; only
+// abstract symbol sequences travel, raw documents never leave this
+// process. Edge jobs are routed to the shard already holding their
+// sequences and ship 20-byte content keys instead of sequence bytes the
+// worker holds. Output is identical to single-process operation. An empty
+// URL list keeps clustering in-process; an empty string within a
+// non-empty list is a configuration fault.
 func WithShardWorkers(urls ...string) Option {
 	return func(c *pipeline.Config) {
 		for i, u := range urls {
@@ -265,8 +235,8 @@ func WithShardWorkers(urls ...string) Option {
 			}
 		}
 		// The coordinator is constructed by New after all options are
-		// applied, so WithoutShardAffinity / WithScheduleSeed compose with
-		// the fleet regardless of option order.
+		// applied, so WithScheduleSeed composes with the fleet regardless
+		// of option order.
 		c.ShardWorkers = append([]string(nil), urls...)
 		if len(urls) == 0 {
 			c.Clusterer = nil
@@ -274,25 +244,16 @@ func WithShardWorkers(urls ...string) Option {
 	}
 }
 
-// WithoutShardAffinity disables the shard coordinator's locality layer —
-// affinity-routed edge jobs and the digest-first v3 wire — so every edge
-// job ships its sequences inline and is scheduled purely by the pull
-// queue. Output is identical either way; the knob exists as a
-// differential-testing lever and as one of the certification verifier's
-// path-diversity axes. No effect without WithShardWorkers.
-func WithoutShardAffinity() Option {
-	return func(c *pipeline.Config) { c.ShardNoAffinity = true }
-}
-
 // WithScheduleSeed runs the compile through a seeded alternative schedule:
-// the streamed reduce sweeps' edge jobs are composed from a permuted row
-// order and the shard coordinator's pull-queue assignment is relabeled
-// through a seeded permutation. Both levers are provably output-invariant
-// (every unordered pair lands in exactly one edge job, final pair lists
-// are sorted, and fleet results are matched by sequence number), so two
-// compiles that differ only in seed must produce bit-identical signature
-// sets — the diversity knob behind dual-path publish certification. 0
-// (the default) keeps the canonical schedule.
+// the reduce sweeps run over permuted row and col orders (in-process, the
+// pairs are evaluated in a different order; on a fleet, every edge job is
+// composed differently) and the shard coordinator's pull-queue assignment
+// is relabeled through a seeded permutation. Both levers are provably
+// output-invariant (every unordered pair is tested exactly once, final
+// pair lists are sorted, and fleet results are matched by sequence
+// number), so two compiles that differ only in seed must produce
+// bit-identical signature sets — the diversity knob behind dual-path
+// publish certification. 0 (the default) keeps the canonical schedule.
 func WithScheduleSeed(seed int64) Option {
 	return func(c *pipeline.Config) { c.ScheduleSeed = seed }
 }
@@ -319,14 +280,8 @@ func New(opts ...Option) *Compiler {
 		opt(&cfg)
 	}
 	if cfg.Clusterer == nil && len(cfg.ShardWorkers) > 0 {
-		var copts []shardcoord.CoordinatorOption
-		if cfg.ShardNoAffinity {
-			copts = append(copts, shardcoord.WithoutAffinity())
-		}
-		if cfg.ScheduleSeed != 0 {
-			copts = append(copts, shardcoord.WithSchedulePermutation(cfg.ScheduleSeed))
-		}
-		cfg.Clusterer = shardcoord.NewCoordinator(shardcoord.NewHTTPTransport(cfg.ShardWorkers, nil), copts...)
+		cfg.Clusterer = shardcoord.NewCoordinator(shardcoord.NewHTTPTransport(cfg.ShardWorkers, nil),
+			shardcoord.WithSchedulePermutation(cfg.ScheduleSeed))
 	}
 	return &Compiler{
 		cfg:    cfg,

@@ -10,11 +10,9 @@ import (
 // TestOptionValidation covers every Option with a valid and (where the
 // option can be misconfigured) an invalid value: invalid values must
 // surface a named error from Process instead of being silently clamped,
-// and valid values must not. Output-invariant toggles with no invalid
-// inputs (WithBatchDispatch, WithCoordinatorPreReduce,
-// WithoutShardAffinity, WithScheduleSeed, WithCacheBytes — where a
-// negative budget is the documented cache-disable) appear with valid
-// rows only.
+// and valid values must not. Options with no invalid inputs
+// (WithScheduleSeed, WithCacheBytes — where a negative budget is the
+// documented cache-disable) appear with valid rows only.
 func TestOptionValidation(t *testing.T) {
 	samples := []kizzle.Sample{
 		{ID: "a", Content: "var a = unescape('%61%62%63');"},
@@ -51,15 +49,10 @@ func TestOptionValidation(t *testing.T) {
 		{"WithPartitionSize negative", []kizzle.Option{kizzle.WithPartitionSize(-5)}, "WithPartitionSize: negative partition size -5"},
 		{"WithPartitionFanout valid", []kizzle.Option{kizzle.WithPartitionFanout(4)}, ""},
 		{"WithPartitionFanout zero", []kizzle.Option{kizzle.WithPartitionFanout(0)}, "WithPartitionFanout: fanout 0 below 1"},
-		{"WithNoiseChunk valid", []kizzle.Option{kizzle.WithNoiseChunk(500)}, ""},
-		{"WithNoiseChunk negative", []kizzle.Option{kizzle.WithNoiseChunk(-1)}, "WithNoiseChunk: negative chunk size -1"},
-		{"WithBatchDispatch", []kizzle.Option{kizzle.WithBatchDispatch()}, ""},
-		{"WithCoordinatorPreReduce", []kizzle.Option{kizzle.WithCoordinatorPreReduce()}, ""},
 		{"WithCacheBytes valid", []kizzle.Option{kizzle.WithCacheBytes(1 << 20)}, ""},
 		{"WithCacheBytes negative disables", []kizzle.Option{kizzle.WithCacheBytes(-1)}, ""},
 		{"WithShardWorkers empty list stays in-process", []kizzle.Option{kizzle.WithShardWorkers()}, ""},
 		{"WithShardWorkers empty URL", []kizzle.Option{kizzle.WithShardWorkers("http://shard-0:9191", "")}, "WithShardWorkers: empty URL at position 1"},
-		{"WithoutShardAffinity", []kizzle.Option{kizzle.WithoutShardAffinity()}, ""},
 		{"WithScheduleSeed", []kizzle.Option{kizzle.WithScheduleSeed(42)}, ""},
 		{"two faults both reported", []kizzle.Option{kizzle.WithWorkers(-1), kizzle.WithEps(0)}, "WithWorkers: negative worker count -1; WithEps: threshold 0 outside (0, 1]"},
 	}

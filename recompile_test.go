@@ -2,8 +2,8 @@
 // recompilation path: a publisher recompiling on a kizzleshard fleet, with
 // a warm content cache and a corpus that mutates between recompiles, must
 // produce signature sets byte-identical to a single-process publisher
-// following the same trajectory — across shard counts, dispatch modes, and
-// corpus-add interleavings. Generation bumps may only change cache
+// following the same trajectory — across shard counts, canonical and
+// seeded schedules, and corpus-add interleavings. Generation bumps may only change cache
 // economics (label sweeps), never labels.
 package kizzle_test
 
@@ -96,7 +96,7 @@ func runTrajectory(t *testing.T, c *kizzle.Compiler, day int, day1, day2 []kizzl
 
 // TestRecompileDifferential pins fleet-backed + incremental recompilation
 // against the single-process path: byte-identical signature sets at every
-// step of the trajectory, across shard counts and dispatch modes, with
+// step of the trajectory, across shard counts and schedules, with
 // per-family generation bumps changing only sweep counts.
 func TestRecompileDifferential(t *testing.T) {
 	day := synth.Date(8, 6)
@@ -116,13 +116,16 @@ func TestRecompileDifferential(t *testing.T) {
 	}
 
 	for _, shards := range []int{1, 2, 4} {
-		for _, dispatch := range []string{"stream", "batch"} {
-			t.Run(fmt.Sprintf("shards=%d/dispatch=%s", shards, dispatch), func(t *testing.T) {
+		for _, seed := range []int64{0, 1887} {
+			// Every compile streams; the canonical schedule keeps its
+			// historical subtest name.
+			name := fmt.Sprintf("shards=%d/dispatch=stream", shards)
+			if seed != 0 {
+				name += fmt.Sprintf(",seed=%d", seed)
+			}
+			t.Run(name, func(t *testing.T) {
 				urls := startShardFleet(t, shards)
-				opts := []kizzle.Option{kizzle.WithShardWorkers(urls...)}
-				if dispatch == "batch" {
-					opts = append(opts, kizzle.WithBatchDispatch())
-				}
+				opts := []kizzle.Option{kizzle.WithShardWorkers(urls...), kizzle.WithScheduleSeed(seed)}
 				got, gotSweeps := runTrajectory(t, kizzle.New(opts...), day, day1, day2)
 				for i := range got {
 					if got[i] != ref[i] {

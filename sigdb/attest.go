@@ -42,9 +42,11 @@ type PathDescriptor struct {
 	Mode string `json:"mode"`
 	// Shards is the fleet size (0 for in-process).
 	Shards int `json:"shards,omitempty"`
-	// Dispatch is "stream" or "batch".
+	// Dispatch is "stream". Attestations written before batch dispatch
+	// was removed may carry "batch"; they still verify.
 	Dispatch string `json:"dispatch"`
-	// Affinity reports whether the fleet's locality layer was active.
+	// Affinity reports whether the fleet's locality layer was active
+	// (always, for fleet paths; older records may say otherwise).
 	Affinity bool `json:"affinity,omitempty"`
 	// Seed is the schedule-permutation seed (0 = canonical schedule).
 	Seed int64 `json:"seed,omitempty"`
