@@ -162,7 +162,7 @@ func TestFleetE2E(t *testing.T) {
 	// cache will carry across replicas.
 	kitDoc := -1
 	for i, d := range docs {
-		if refVetter.Vet(d).Blocked {
+		if refVetter.VetBytes([]byte(d)).Blocked {
 			kitDoc = i
 			break
 		}

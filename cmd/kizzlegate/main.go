@@ -2,10 +2,11 @@
 // browser/CDN deployment channel): it fronts an upstream web server,
 // scans HTML/JavaScript responses against the deployed Kizzle signature
 // set, and blocks exploit-kit landings. Signatures come from a local
-// sigdb file and/or are kept current from a signature server — by
-// default over the server-push watch stream (a publish reaches every
-// replica in ~1 RTT), degrading to conditional jittered polling over
-// per-family deltas when the server has no watch endpoint, so a one-kit
+// sigdb file and/or are kept current from a signature server by
+// sigdb.Client.Run: one loop of long-poll rounds on the server-push
+// watch stream (a publish reaches every replica in ~1 RTT), which
+// becomes jittered conditional polling at -poll against a server without
+// the watch endpoint. Updates travel as per-family deltas, so a one-kit
 // update moves and recompiles one kit. Concurrent admissions coalesce
 // into micro-batches that scan each distinct in-flight document once;
 // with -verdicts, replicas also share scan verdicts through a fleet
@@ -15,7 +16,7 @@
 //
 //	kizzlegate -listen :8080 -upstream http://origin:80 \
 //	           [-sigfile sigs.json] [-sigurl http://sigserver/signatures] \
-//	           [-watch=true] [-poll 1m] [-jitter 0.1] \
+//	           [-poll 1m] [-jitter 0.1] \
 //	           [-verdicts http://sigserver/verdicts] [-verdictkey SECRET] \
 //	           [-batchdocs 32] [-batchwait 500us] [-metricslisten :8081]
 package main
@@ -52,9 +53,8 @@ func run(args []string, ready chan<- http.Handler) error {
 	upstream := fs.String("upstream", "", "origin URL to proxy (required)")
 	sigfile := fs.String("sigfile", "", "local sigdb JSON file to load")
 	sigurl := fs.String("sigurl", "", "signature server URL to poll for updates")
-	poll := fs.Duration("poll", time.Minute, "signature poll interval (watch fallback cadence)")
-	jitter := fs.Float64("jitter", 0.1, "poll jitter fraction (±), spreads replica polls")
-	watch := fs.Bool("watch", true, "prefer the server-push watch stream over polling (falls back automatically)")
+	poll := fs.Duration("poll", time.Minute, "signature poll interval against a server without the watch endpoint")
+	jitter := fs.Float64("jitter", 0.1, "update-loop jitter fraction (±), spreads replica requests")
 	verdictsURL := fs.String("verdicts", "", "shared verdict cache URL (e.g. http://sigserver/verdicts); empty disables fleet verdict sharing")
 	verdictKey := fs.String("verdictkey", "", "HMAC key for signing shared verdict publishes (the publisher's -verdictkey)")
 	batchDocs := fs.Int("batchdocs", 32, "admission micro-batch size (0 disables batching)")
@@ -146,9 +146,9 @@ func run(args []string, ready chan<- http.Handler) error {
 			log.Printf("deployed signature set v%d (%d signatures)", snap.Version, len(snap.Signatures))
 		}
 		// Arm the gate before serving: fetch once synchronously so a
-		// replica never admits traffic with an empty signature set just
-		// because its first poll tick hasn't fired. The poll loop's own
-		// immediate fetch then costs one 304.
+		// replica never admits traffic with an empty signature set while
+		// the update loop starts. Run's first watch round then parks until
+		// the next publish.
 		if snap, updated, err := client.Fetch(ctx); err != nil {
 			log.Printf("initial signature fetch: %v", err)
 		} else if updated {
@@ -156,12 +156,7 @@ func run(args []string, ready chan<- http.Handler) error {
 		}
 		go func() {
 			defer close(pollDone)
-			onErr := func(err error) { log.Printf("signature update: %v", err) }
-			if *watch {
-				client.Run(ctx, *poll, deploy, onErr)
-			} else {
-				client.Poll(ctx, *poll, deploy, onErr)
-			}
+			client.Run(ctx, *poll, deploy, func(err error) { log.Printf("signature update: %v", err) })
 		}()
 	} else {
 		close(pollDone)
@@ -184,6 +179,7 @@ func run(args []string, ready chan<- http.Handler) error {
 	metrics := servemetrics.Handler(func() map[string]any {
 		out := map[string]any{
 			"vetter":  vetter.Metrics(),
+			"proxy":   proxy.Metrics(),
 			"runtime": servemetrics.RuntimeStats(),
 		}
 		if admit != nil {

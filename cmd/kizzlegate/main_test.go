@@ -228,6 +228,9 @@ func TestGateMetricsAndSigurl(t *testing.T) {
 			DocsBlocked int64 `json:"blocked"`
 			SigVersion  int64 `json:"matcher_version"`
 		} `json:"vetter"`
+		Proxy struct {
+			Oversized *int64 `json:"oversized"`
+		} `json:"proxy"`
 		Admitter struct {
 			Requests int64 `json:"requests"`
 		} `json:"admitter"`
@@ -244,6 +247,9 @@ func TestGateMetricsAndSigurl(t *testing.T) {
 	}
 	if m.Vetter.SigVersion != 1 {
 		t.Errorf("matcher_version = %d, want 1", m.Vetter.SigVersion)
+	}
+	if m.Proxy.Oversized == nil || *m.Proxy.Oversized != 0 {
+		t.Errorf("proxy oversized = %v, want 0 (and present)", m.Proxy.Oversized)
 	}
 	if m.Admitter.Requests != 2 {
 		t.Errorf("admitter requests = %d, want 2", m.Admitter.Requests)

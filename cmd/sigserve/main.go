@@ -48,6 +48,7 @@ import (
 	"kizzle/internal/contentcache"
 	"kizzle/internal/servemetrics"
 	"kizzle/internal/verdictcache"
+	"kizzle/internal/zerocopy"
 	"kizzle/sigdb"
 )
 
@@ -704,8 +705,8 @@ type scanHandler struct {
 	matcher  *kizzle.Matcher
 	compiled kizzle.MatcherCache
 
-	// scanSem bounds concurrent batch scans: each ScanAll call spins up
-	// its own GOMAXPROCS-sized worker pool, so unbounded concurrent
+	// scanSem bounds concurrent batch scans: each ScanAllBytes call spins
+	// up its own GOMAXPROCS-sized worker pool, so unbounded concurrent
 	// requests would oversubscribe the CPU and starve /signatures and
 	// /healthz on the same publisher. Excess requests queue here.
 	scanSemOnce sync.Once
@@ -827,7 +828,7 @@ func (h *scanHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	// truncated-and-scanned, which could vouch "clean" for content the
 	// scan never saw — and its verdict says so, so batch clients can
 	// distinguish "scanned clean" from "skipped oversized".
-	docs := make([]string, 0, len(req.Documents))
+	docs := make([][]byte, 0, len(req.Documents))
 	idx := make([]int, 0, len(req.Documents))
 	for i, d := range req.Documents {
 		if int64(len(d)) > gateway.DefaultMaxScanBytes {
@@ -835,10 +836,10 @@ func (h *scanHandler) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			resp.Verdicts[i] = scanVerdict{Skipped: "oversized"}
 			continue
 		}
-		docs = append(docs, d)
+		docs = append(docs, zerocopy.Bytes(d))
 		idx = append(idx, i)
 	}
-	for j, matches := range m.ScanAll(docs) {
+	for j, matches := range m.ScanAllBytes(docs) {
 		if len(matches) > 0 {
 			resp.Verdicts[idx[j]] = scanVerdict{Blocked: true, Family: matches[0].Family}
 			h.docsBlocked.Add(1)

@@ -87,7 +87,11 @@ func vetDay(t *testing.T, snap sigdb.Snapshot, docs []string) []gateway.Decision
 	if err != nil {
 		t.Fatal(err)
 	}
-	return gateway.NewVetter(m).VetAll(docs)
+	views := make([][]byte, len(docs))
+	for i, d := range docs {
+		views[i] = []byte(d)
+	}
+	return gateway.NewVetter(m).VetAllBytes(views)
 }
 
 // TestServingLoopEndToEnd drives the full publishing loop at three fleet

@@ -38,9 +38,10 @@
 //     partitions balance better across shard workers at slightly more
 //     reduce-step work.
 //
-// On the deployment side, Matcher.ScanAll scans batches across a worker
-// pool, and MatcherCache rebuilds a Matcher incrementally when only some
-// families' signatures changed — the publisher's republish path.
+// On the deployment side, Matcher.ScanAllBytes scans batches across a
+// worker pool, and MatcherCache rebuilds a Matcher incrementally when
+// only some families' signatures changed — the publisher's republish
+// path.
 //
 // The labeling thresholds (WithThreshold, WithDefaultThreshold) and
 // signature shape (WithSignatureTokens, WithSignatureSlack) follow the

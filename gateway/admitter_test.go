@@ -16,8 +16,8 @@ import (
 )
 
 // TestVetBytesMatchesVet pins the zero-copy entry points against the
-// string path, for byte-capable scanners and for plain scanners on the
-// copying fallback.
+// matcher's string path: VetBytes and VetAllBytes decide exactly what a
+// direct Scan of the same document decides.
 func TestVetBytesMatchesVet(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	m := buildMatcher(t, day)
@@ -33,21 +33,23 @@ func TestVetBytesMatchesVet(t *testing.T) {
 	}
 	docs = append(docs, "", "var benign = 1;")
 
-	for _, scanner := range []Scanner{m, plainScanner{m}} {
-		ref := NewVetter(scanner)
-		v := NewVetter(scanner)
-		byteDocs := make([][]byte, len(docs))
-		for i, doc := range docs {
-			byteDocs[i] = []byte(doc)
-			if got, want := v.VetBytes(byteDocs[i]), ref.Vet(doc); got != want {
-				t.Fatalf("doc %d: VetBytes %+v vs Vet %+v", i, got, want)
-			}
+	want := make([]Decision, len(docs))
+	for i, doc := range docs {
+		if matches := m.Scan(doc); len(matches) > 0 {
+			want[i] = Decision{Blocked: true, Family: matches[0].Family}
 		}
-		batch := NewVetter(scanner).VetAllBytes(byteDocs)
-		for i, doc := range docs {
-			if want := NewVetter(scanner).Vet(doc); batch[i] != want {
-				t.Fatalf("doc %d: VetAllBytes %+v vs Vet %+v", i, batch[i], want)
-			}
+	}
+	v := NewVetter(m)
+	byteDocs := make([][]byte, len(docs))
+	for i, doc := range docs {
+		byteDocs[i] = []byte(doc)
+		if got := v.VetBytes(byteDocs[i]); got != want[i] {
+			t.Fatalf("doc %d: VetBytes %+v vs Scan %+v", i, got, want[i])
+		}
+	}
+	for i, got := range NewVetter(m).VetAllBytes(byteDocs) {
+		if got != want[i] {
+			t.Fatalf("doc %d: VetAllBytes %+v vs Scan %+v", i, got, want[i])
 		}
 	}
 }
@@ -243,7 +245,8 @@ func TestProxyChunkedOversizedNotTruncated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProxy(target, NewVetter(buildMatcher(t, day)))
+	v := NewVetter(buildMatcher(t, day))
+	p := NewProxy(target, v)
 	p.MaxScanBytes = 1024
 	front := httptest.NewServer(p)
 	defer front.Close()
@@ -263,6 +266,7 @@ func TestProxyChunkedOversizedNotTruncated(t *testing.T) {
 	if !bytes.Equal(body, big) {
 		t.Errorf("chunked oversized body corrupted: got %d bytes, want %d", len(body), len(big))
 	}
+	assertOversized(t, p, v, 1)
 }
 
 // TestProxyChunkedUnderLimitScanned: chunked delivery must not bypass

@@ -14,7 +14,6 @@ import (
 
 	"kizzle"
 	"kizzle/internal/servemetrics"
-	"kizzle/internal/zerocopy"
 )
 
 // DefaultMaxScanBytes is the fleet-wide scan-size cap: the one constant
@@ -35,51 +34,16 @@ type Decision struct {
 	Family string
 }
 
-// Scanner is the signature-set interface the gateway needs; both
-// *kizzle.Matcher and *kizzle.MultiMatcher satisfy it.
+// Scanner is the signature-set interface the gateway scans through;
+// *kizzle.Matcher satisfies it. Documents are byte slices end to end —
+// the proxy's pooled body buffers and the admission batcher's batches —
+// and implementations must not retain them past the call, so callers may
+// reuse a buffer the moment a scan returns. ScanAllBytes results align
+// with the input and equal per-document ScanBytes results.
 type Scanner interface {
-	Scan(doc string) []kizzle.Match
-}
-
-// BatchScanner is optionally implemented by signature sets that can scan
-// documents in bulk across a worker pool (*kizzle.Matcher does). VetAll
-// uses it when available.
-type BatchScanner interface {
-	Scanner
-	ScanAll(docs []string) [][]kizzle.Match
-}
-
-// BytesScanner is optionally implemented by signature sets that can scan
-// a document held in a byte slice in place (*kizzle.Matcher does).
-// VetBytes uses it when available, which is what makes the proxy's pooled
-// body buffers zero-copy end to end; other scanners fall back to one
-// string copy.
-type BytesScanner interface {
-	Scanner
 	ScanBytes(doc []byte) []kizzle.Match
-}
-
-// BatchBytesScanner is optionally implemented by signature sets that scan
-// byte-slice batches in bulk (*kizzle.Matcher does); VetAllBytes — and
-// through it the admission batcher — uses it when available.
-type BatchBytesScanner interface {
-	Scanner
 	ScanAllBytes(docs [][]byte) [][]kizzle.Match
 }
-
-// multiAdapter lifts a MultiMatcher to the Scanner interface.
-type multiAdapter struct{ m *kizzle.MultiMatcher }
-
-func (a multiAdapter) Scan(doc string) []kizzle.Match {
-	var out []kizzle.Match
-	for _, fam := range a.m.Scan(doc) {
-		out = append(out, kizzle.Match{Family: fam})
-	}
-	return out
-}
-
-// WrapMulti adapts a MultiMatcher for use as a gateway Scanner.
-func WrapMulti(m *kizzle.MultiMatcher) Scanner { return multiAdapter{m: m} }
 
 // Vetter makes admission decisions for documents. It is safe for
 // concurrent use, and its signature set can be swapped live (the
@@ -89,6 +53,7 @@ type Vetter struct {
 	scanner Scanner
 
 	scanned atomic.Int64
+	unarmed atomic.Int64
 	blocked atomic.Int64
 	version atomic.Int64
 	lat     servemetrics.Hist
@@ -131,84 +96,41 @@ func (v *Vetter) decide(matches []kizzle.Match) Decision {
 	return Decision{Blocked: true, Family: matches[0].Family}
 }
 
-// Vet scans one document. It is a thin compatibility wrapper over
-// VetBytes: the string is viewed as bytes without copying, so the byte
-// path is the single scanning implementation.
-func (v *Vetter) Vet(doc string) Decision {
-	return v.VetBytes(zerocopy.Bytes(doc))
-}
-
-// VetBytes scans one document held in a byte slice. With a BytesScanner
-// deployed the document is scanned in place — the caller keeps ownership
-// of the buffer and may reuse it the moment the call returns; decisions
-// are identical to Vet(string(doc)).
+// VetBytes scans one document held in a byte slice, in place: the
+// caller keeps ownership of the buffer and may reuse it the moment the
+// call returns. Before a signature set is deployed every document passes
+// and counts as unarmed, not scanned.
 func (v *Vetter) VetBytes(doc []byte) Decision {
 	scanner := v.current()
-	v.scanned.Add(1)
 	if scanner == nil {
+		v.unarmed.Add(1)
 		return Decision{}
 	}
+	v.scanned.Add(1)
 	start := time.Now()
-	var matches []kizzle.Match
-	if bs, ok := scanner.(BytesScanner); ok {
-		matches = bs.ScanBytes(doc)
-	} else {
-		matches = scanner.Scan(string(doc))
-	}
+	matches := scanner.ScanBytes(doc)
 	v.lat.Observe(time.Since(start))
 	return v.decide(matches)
 }
 
-// VetAll scans a batch of documents and returns per-document decisions
-// aligned with the input. It is a thin compatibility wrapper over
-// VetAllBytes: documents are viewed as bytes without copying, so the
-// byte path is the single batch-scanning implementation.
-func (v *Vetter) VetAll(docs []string) []Decision {
-	views := make([][]byte, len(docs))
-	for i, doc := range docs {
-		views[i] = zerocopy.Bytes(doc)
-	}
-	return v.VetAllBytes(views)
-}
-
-// VetAllBytes is the batch-scanning core: zero-copy with a
-// BatchBytesScanner deployed, aligned with the input, and
-// decision-identical to per-document VetBytes calls. Scanners that batch
-// only over strings (BatchScanner) keep their worker-pool fan-out
-// through zero-copy string views; plain Scanners fall back to one serial
-// scan (and one string copy) per document. Buffer-ownership rules are
+// VetAllBytes scans a batch of documents through one ScanAllBytes call
+// and returns decisions aligned with the input, identical to
+// per-document VetBytes calls. Buffer-ownership and unarmed rules are
 // those of VetBytes.
 func (v *Vetter) VetAllBytes(docs [][]byte) []Decision {
 	scanner := v.current()
-	v.scanned.Add(int64(len(docs)))
 	out := make([]Decision, len(docs))
-	if scanner == nil || len(docs) == 0 {
+	if scanner == nil {
+		v.unarmed.Add(int64(len(docs)))
 		return out
 	}
+	if len(docs) == 0 {
+		return out
+	}
+	v.scanned.Add(int64(len(docs)))
 	start := time.Now()
-	switch bs := scanner.(type) {
-	case BatchBytesScanner:
-		for i, matches := range bs.ScanAllBytes(docs) {
-			out[i] = v.decide(matches)
-		}
-	case BatchScanner:
-		views := make([]string, len(docs))
-		for i, doc := range docs {
-			views[i] = zerocopy.String(doc)
-		}
-		for i, matches := range bs.ScanAll(views) {
-			out[i] = v.decide(matches)
-		}
-	default:
-		for i, doc := range docs {
-			var matches []kizzle.Match
-			if s, ok := scanner.(BytesScanner); ok {
-				matches = s.ScanBytes(doc)
-			} else {
-				matches = scanner.Scan(string(doc))
-			}
-			out[i] = v.decide(matches)
-		}
+	for i, matches := range scanner.ScanAllBytes(docs) {
+		out[i] = v.decide(matches)
 	}
 	// Batch entry points record the whole call once: that is the latency
 	// every document in the batch experienced.
@@ -221,16 +143,13 @@ func (v *Vetter) Stats() (scanned, blocked int64) {
 	return v.scanned.Load(), v.blocked.Load()
 }
 
-// ScanLatency exposes the vetter's scan-latency histogram (p50/p99 for
-// the /metrics surface). Batch calls record one observation per call,
-// per-document calls one per document.
-func (v *Vetter) ScanLatency() *servemetrics.Hist { return &v.lat }
-
 // Metrics returns the vetter's /metrics fields: scan and block counts,
-// the recorded signature-set version, and the scan-latency summary.
+// the documents admitted unscanned before any set was deployed, the
+// recorded signature-set version, and the scan-latency summary.
 func (v *Vetter) Metrics() map[string]any {
 	return map[string]any{
 		"scanned":         v.scanned.Load(),
+		"unarmed":         v.unarmed.Load(),
 		"blocked":         v.blocked.Load(),
 		"matcher_version": v.version.Load(),
 		"scan_latency":    v.lat.Summary(),
@@ -249,8 +168,10 @@ type Proxy struct {
 	// MaxScanBytes bounds how much of a response is buffered for
 	// scanning (default DefaultMaxScanBytes); larger responses stream
 	// through unscanned — never truncated-and-scanned — rather than
-	// stalling the proxy.
+	// stalling the proxy, and are counted in oversized.
 	MaxScanBytes int64
+
+	oversized atomic.Int64
 }
 
 // NewProxy builds a scanning reverse proxy in front of upstream.
@@ -268,6 +189,12 @@ func NewProxy(upstream *url.URL, vetter *Vetter) *Proxy {
 // instead of each paying its own scan. Decisions are identical to the
 // direct path. Call before serving; the admitter must outlive the proxy.
 func (p *Proxy) UseAdmitter(a *Admitter) { p.admit = a }
+
+// Metrics returns the proxy's /metrics fields: the scannable responses
+// passed through unscanned because they exceeded MaxScanBytes.
+func (p *Proxy) Metrics() map[string]any {
+	return map[string]any{"oversized": p.oversized.Load()}
+}
 
 var _ http.Handler = (*Proxy)(nil)
 
@@ -342,6 +269,7 @@ func (p *Proxy) modifyResponse(resp *http.Response) error {
 		return nil
 	}
 	if resp.ContentLength > p.MaxScanBytes {
+		p.oversized.Add(1)
 		return nil
 	}
 	bp := bodyPool.Get().(*[]byte)
@@ -356,6 +284,7 @@ func (p *Proxy) modifyResponse(resp *http.Response) error {
 		// Too large to scan (chunked responses reach here: their length is
 		// unknown until read). Pass through what was buffered followed by
 		// the rest of the upstream body, unconsumed and untruncated.
+		p.oversized.Add(1)
 		resp.Body = &pooledBody{
 			Reader: io.MultiReader(bytes.NewReader(body), resp.Body),
 			buf:    bp,

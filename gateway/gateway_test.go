@@ -70,10 +70,10 @@ func kitDoc(t testing.TB, day int) string {
 func TestVetter(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	v := NewVetter(buildMatcher(t, day))
-	if d := v.Vet(`var x = document.title;`); d.Blocked {
+	if d := v.VetBytes([]byte(`var x = document.title;`)); d.Blocked {
 		t.Error("benign blocked")
 	}
-	d := v.Vet(kitDoc(t, day))
+	d := v.VetBytes([]byte(kitDoc(t, day)))
 	if !d.Blocked || d.Family != "Angler" {
 		t.Errorf("kit decision = %+v", d)
 	}
@@ -83,10 +83,28 @@ func TestVetter(t *testing.T) {
 	}
 }
 
+// TestVetterNilScanner: before any set is deployed every document
+// passes, and counts as unarmed — never as scanned.
 func TestVetterNilScanner(t *testing.T) {
 	v := NewVetter(nil)
-	if d := v.Vet("anything"); d.Blocked {
-		t.Error("nil scanner must pass everything")
+	const n = 3
+	for i := 0; i < n; i++ {
+		if d := v.VetBytes([]byte("anything")); d.Blocked {
+			t.Error("nil scanner must pass everything")
+		}
+	}
+	assertUnarmed(t, v, n)
+}
+
+// assertUnarmed checks that v scanned nothing and admitted n documents
+// unarmed.
+func assertUnarmed(t *testing.T, v *Vetter, n int64) {
+	t.Helper()
+	if scanned, _ := v.Stats(); scanned != 0 {
+		t.Errorf("scanned = %d, want 0 (no scanner deployed)", scanned)
+	}
+	if got := v.Metrics()["unarmed"].(int64); got != n {
+		t.Errorf("unarmed = %d, want %d", got, n)
 	}
 }
 
@@ -94,11 +112,11 @@ func TestVetterLiveUpdate(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	v := NewVetter(nil)
 	doc := kitDoc(t, day)
-	if v.Vet(doc).Blocked {
+	if v.VetBytes([]byte(doc)).Blocked {
 		t.Fatal("unarmed vetter blocked")
 	}
 	v.Update(buildMatcher(t, day))
-	if !v.Vet(doc).Blocked {
+	if !v.VetBytes([]byte(doc)).Blocked {
 		t.Fatal("updated vetter must block")
 	}
 }
@@ -106,14 +124,14 @@ func TestVetterLiveUpdate(t *testing.T) {
 func TestVetterConcurrent(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	v := NewVetter(buildMatcher(t, day))
-	doc := kitDoc(t, day)
+	doc := []byte(kitDoc(t, day))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 20; j++ {
-				if !v.Vet(doc).Blocked {
+				if !v.VetBytes(doc).Blocked {
 					t.Error("concurrent vet missed")
 					return
 				}
@@ -201,7 +219,8 @@ func TestProxyOversizedPassesUnscanned(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := NewProxy(target, NewVetter(buildMatcher(t, day)))
+	v := NewVetter(buildMatcher(t, day))
+	p := NewProxy(target, v)
 	p.MaxScanBytes = 1024
 	front := httptest.NewServer(p)
 	defer front.Close()
@@ -218,36 +237,18 @@ func TestProxyOversizedPassesUnscanned(t *testing.T) {
 	if resp.StatusCode != http.StatusOK || len(body) != len(big) {
 		t.Errorf("oversized response: status %d, %d bytes (want 200, %d)", resp.StatusCode, len(body), len(big))
 	}
+	assertOversized(t, p, v, 1)
 }
 
-func TestWrapMulti(t *testing.T) {
-	day := synth.Date(time.August, 5)
-	cfg := synth.DefaultConfig()
-	cfg.BenignPerDay = 0
-	stream, err := synth.NewStream(cfg)
-	if err != nil {
-		t.Fatal(err)
+// assertOversized checks that p passed n responses through as oversized
+// and that none of them reached the vetter.
+func assertOversized(t *testing.T, p *Proxy, v *Vetter, n int64) {
+	t.Helper()
+	if got := p.Metrics()["oversized"].(int64); got != n {
+		t.Errorf("oversized = %d, want %d", got, n)
 	}
-	var docs []string
-	for _, s := range stream.Day(day) {
-		if s.Family == synth.Angler {
-			docs = append(docs, s.Content)
-		}
-	}
-	multi, err := kizzle.GenerateMulti("Angler", docs, kizzle.WithMultiSlack(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mm, err := kizzle.NewMultiMatcher([]kizzle.MultiSignature{multi})
-	if err != nil {
-		t.Fatal(err)
-	}
-	v := NewVetter(WrapMulti(mm))
-	if d := v.Vet(docs[0]); !d.Blocked || d.Family != "Angler" {
-		t.Errorf("multi-backed vetter decision = %+v", d)
-	}
-	if v.Vet("var benign = 1;").Blocked {
-		t.Error("multi-backed vetter blocked benign")
+	if scanned, _ := v.Stats(); scanned != 0 {
+		t.Errorf("scanned = %d, want 0 (oversized bodies pass unscanned)", scanned)
 	}
 }
 
@@ -272,7 +273,7 @@ func TestScannable(t *testing.T) {
 }
 
 // TestVetAllMatchesVet: batch vetting must agree document-for-document
-// with serial vetting, for batch-capable and plain scanners alike.
+// with serial vetting.
 func TestVetAllMatchesVet(t *testing.T) {
 	day := synth.Date(time.August, 6)
 	m := buildMatcher(t, day)
@@ -282,27 +283,18 @@ func TestVetAllMatchesVet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var docs []string
+	var docs [][]byte
 	for _, s := range stream.Day(day) {
-		docs = append(docs, s.Content)
+		docs = append(docs, []byte(s.Content))
 	}
 
-	batch := NewVetter(m).VetAll(docs)
+	v := NewVetter(m)
+	batch := v.VetAllBytes(docs)
 	serialVetter := NewVetter(m)
 	for i, doc := range docs {
-		want := serialVetter.Vet(doc)
+		want := serialVetter.VetBytes(doc)
 		if batch[i] != want {
 			t.Fatalf("doc %d: batch %+v vs serial %+v", i, batch[i], want)
-		}
-	}
-
-	// A scanner without batch support takes the fallback path and must
-	// still agree.
-	v := NewVetter(plainScanner{m})
-	fallback := v.VetAll(docs)
-	for i := range docs {
-		if fallback[i] != batch[i] {
-			t.Fatalf("doc %d: fallback %+v vs batch %+v", i, fallback[i], batch[i])
 		}
 	}
 	scanned, blocked := v.Stats()
@@ -320,16 +312,12 @@ func TestVetAllMatchesVet(t *testing.T) {
 	}
 }
 
-// plainScanner hides the ScanAll method, forcing VetAll's serial fallback.
-type plainScanner struct{ m *kizzle.Matcher }
-
-func (p plainScanner) Scan(doc string) []kizzle.Match { return p.m.Scan(doc) }
-
 func TestVetAllNilScanner(t *testing.T) {
 	v := NewVetter(nil)
-	for _, d := range v.VetAll([]string{"a", "b"}) {
+	for _, d := range v.VetAllBytes([][]byte{[]byte("a"), []byte("b")}) {
 		if d.Blocked {
 			t.Error("nil scanner blocked a document")
 		}
 	}
+	assertUnarmed(t, v, 2)
 }

@@ -7,6 +7,7 @@ import (
 
 	"kizzle/internal/ekit"
 	"kizzle/internal/jstoken"
+	"kizzle/internal/parallel"
 	"kizzle/internal/siggen"
 )
 
@@ -127,28 +128,30 @@ func TestAnchorFallbackUnanchored(t *testing.T) {
 	}
 }
 
-// TestScanAllMatchesScanTokens: the batched worker-pool entry point must
-// agree sample-for-sample with serial scans.
+// TestScanAllMatchesScanTokens: one Scanner shared by a worker pool (as
+// kizzle.Matcher.ScanAllBytes shares it) must agree sample-for-sample
+// with serial scans, and the string entry point with the token one.
 func TestScanAllMatchesScanTokens(t *testing.T) {
 	scanner, docs := ekitScanner(t, ekit.Date(8, 12))
 	streams := make([][]jstoken.Token, len(docs))
 	for i, doc := range docs {
 		streams[i] = jstoken.LexDocument(doc)
 	}
-	batch := scanner.ScanAll(streams)
-	if len(batch) != len(streams) {
-		t.Fatalf("batch results = %d, want %d", len(batch), len(streams))
-	}
+	batch := make([][]Match, len(streams))
+	parallel.ForEach(len(streams), 4, 1, func(_, i int) {
+		batch[i] = scanner.ScanTokens(streams[i])
+	})
+	byDoc := make([][]Match, len(docs))
+	parallel.ForEach(len(docs), 4, 1, func(_, i int) {
+		byDoc[i] = scanner.Scan(docs[i])
+	})
 	for i := range streams {
 		want := scanner.ScanTokens(streams[i])
 		if fmt.Sprint(batch[i]) != fmt.Sprint(want) {
-			t.Fatalf("doc %d: batch %v, serial %v", i, batch[i], want)
+			t.Fatalf("doc %d: pooled %v, serial %v", i, batch[i], want)
 		}
-	}
-	byDoc := scanner.ScanDocuments(docs)
-	for i := range docs {
-		if fmt.Sprint(byDoc[i]) != fmt.Sprint(batch[i]) {
-			t.Fatalf("doc %d: ScanDocuments %v, ScanAll %v", i, byDoc[i], batch[i])
+		if fmt.Sprint(byDoc[i]) != fmt.Sprint(want) {
+			t.Fatalf("doc %d: pooled Scan %v, serial ScanTokens %v", i, byDoc[i], want)
 		}
 	}
 }

@@ -14,9 +14,10 @@
 // hits instead of signatures × offsets. Signatures without a literal
 // element fall back to the sliding scan.
 //
-// ScanAll / ScanDocuments fan a batch out across a worker pool —
-// the entry points for bulk deployment channels (sigserve's POST /scan,
-// gateway.Vetter.VetAll). Compile and NewScannerFromCompiled split
+// The scanner matches token streams; lexing a document with its ingest
+// profile and fanning a batch out across a worker pool belong to
+// kizzle.Matcher, the one document entry point. Compile and
+// NewScannerFromCompiled split
 // per-signature compilation from whole-set index construction, which is
 // what lets kizzle.MatcherCache rebuild a published set incrementally
 // when only some families' signatures changed.

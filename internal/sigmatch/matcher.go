@@ -3,11 +3,9 @@ package sigmatch
 import (
 	"bytes"
 	"fmt"
-	"runtime"
 	"sync"
 
 	"kizzle/internal/jstoken"
-	"kizzle/internal/parallel"
 	"kizzle/internal/siggen"
 )
 
@@ -471,26 +469,4 @@ func (s *Scanner) DetectsTokens(tokens []jstoken.Token) bool {
 		}
 	}
 	return false
-}
-
-// ScanAll scans many pre-tokenized samples concurrently with a worker pool
-// and returns per-sample matches, aligned with the input. This is the
-// batched entry point for deployment channels that vet documents in bulk
-// (CDN admission queues, signature-server scan APIs).
-func (s *Scanner) ScanAll(streams [][]jstoken.Token) [][]Match {
-	out := make([][]Match, len(streams))
-	parallel.ForEach(len(streams), runtime.GOMAXPROCS(0), 1, func(_, i int) {
-		out[i] = s.ScanTokens(streams[i])
-	})
-	return out
-}
-
-// ScanDocuments tokenizes and scans raw documents concurrently; lexing —
-// the dominant per-document cost — runs inside the pool too.
-func (s *Scanner) ScanDocuments(docs []string) [][]Match {
-	out := make([][]Match, len(docs))
-	parallel.ForEach(len(docs), runtime.GOMAXPROCS(0), 1, func(_, i int) {
-		out[i] = s.Scan(docs[i])
-	})
-	return out
 }

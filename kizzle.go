@@ -4,11 +4,12 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 
 	"kizzle/internal/contentcache"
 	"kizzle/internal/ingest"
-	"kizzle/internal/jstoken"
+	"kizzle/internal/parallel"
 	"kizzle/internal/pipeline"
 	"kizzle/internal/shardcoord"
 	"kizzle/internal/siggen"
@@ -623,59 +624,18 @@ func (m *Matcher) Detects(doc string) bool {
 	return m.DetectsBytes(zerocopy.Bytes(doc))
 }
 
-// ScanAllBytes scans a batch of byte-slice documents concurrently
-// (tokenization included) without copying them, aligned with the input —
-// the batched zero-copy core that bulk deployment channels (CDN
-// admission queues, scan APIs) dispatch through. Buffer-reuse rules are
-// those of ScanBytes.
+// ScanAllBytes scans a batch of byte-slice documents concurrently and
+// returns per-document matches aligned with the input: one worker pool
+// over the documents, each scanned (lexing included) by ScanBytes, so
+// ScanAllBytes(docs)[i] equals ScanBytes(docs[i]). It is the batched
+// zero-copy core that bulk deployment channels (CDN admission queues,
+// scan APIs) dispatch through. Buffer-reuse rules are those of
+// ScanBytes.
 func (m *Matcher) ScanAllBytes(docs [][]byte) [][]Match {
-	// The single-profile common case keeps sigmatch's pooled batch path;
-	// multi-profile sets scan per profile and merge in profile order so
-	// per-document results match ScanBytes exactly.
-	if len(m.scanners) == 1 {
-		ps := &m.scanners[0]
-		if ps.profile.ID() == ingest.Default().ID() {
-			return convertBatch(ps.scanner.ScanDocumentsBytes(docs))
-		}
-	}
 	out := make([][]Match, len(docs))
-	for i := range m.scanners {
-		ps := &m.scanners[i]
-		streams := make([][]jstoken.Token, len(docs))
-		for j, doc := range docs {
-			streams[j] = ps.profile.LexDocument(zerocopy.String(doc))
-		}
-		for j, hits := range ps.scanner.ScanAll(streams) {
-			if len(hits) > 0 {
-				out[j] = appendMatches(out[j], hits)
-			}
-		}
-	}
-	return out
-}
-
-// ScanAll scans a batch of documents concurrently and returns
-// per-document matches aligned with the input — the string compatibility
-// wrapper over ScanAllBytes (documents are viewed as bytes without
-// copying).
-func (m *Matcher) ScanAll(docs []string) [][]Match {
-	views := make([][]byte, len(docs))
-	for i, doc := range docs {
-		views[i] = zerocopy.Bytes(doc)
-	}
-	return m.ScanAllBytes(views)
-}
-
-// convertBatch converts sigmatch batch output, leaving no-hit documents
-// nil.
-func convertBatch(raw [][]sigmatch.Match) [][]Match {
-	out := make([][]Match, len(raw))
-	for i, hits := range raw {
-		if len(hits) == 0 {
-			continue
-		}
-		out[i] = appendMatches(make([]Match, 0, len(hits)), hits)
-	}
+	parallel.ForEach(len(docs), runtime.GOMAXPROCS(0), 1, func(_, i int) {
+		out[i] = m.ScanBytes(docs[i])
+	})
 	return out
 }
 

@@ -275,22 +275,12 @@ func (s *Store) AuditRecords() []AuditRecord {
 // version bump or a new record; an unchanged set on a version that
 // predates certification gets attested in place.
 func (s *Store) PublishAttested(sigs []kizzle.Signature, multi []kizzle.MultiSignature, corpusDigest string, primary, verify PathDescriptor) (version int64, changed bool, att Attestation, err error) {
-	next, err := json.Marshal(update{Signatures: sigs, Multi: multi})
+	candidate, next, err := prepare(sigs, multi)
 	if err != nil {
-		return 0, false, Attestation{}, fmt.Errorf("sigdb: marshal candidate: %w", err)
+		return 0, false, Attestation{}, err
 	}
 	sum := sha256.Sum256(next)
 	setDigest := hex.EncodeToString(sum[:])
-	if err := validateFamilies(sigs, multi); err != nil {
-		return 0, false, Attestation{}, err
-	}
-	candidate := Snapshot{
-		Signatures: append([]kizzle.Signature(nil), sigs...),
-		Multi:      append([]kizzle.MultiSignature(nil), multi...),
-	}
-	if _, _, err := candidate.Matcher(); err != nil {
-		return 0, false, Attestation{}, err
-	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	cur, err := json.Marshal(update{Signatures: s.snap.Signatures, Multi: s.snap.Multi})

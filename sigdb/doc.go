@@ -1,10 +1,11 @@
 // Package sigdb is the distribution side of the paper's chosen deployment
 // format: "AV signatures enjoy a well-established deployment channel with
 // frequent, automatic updates for signature consumers." It provides a
-// versioned, optionally file-backed signature store, an HTTP handler that
-// serves incremental updates, and a polling client that keeps a
-// consumer's matcher current — the loop that lets Kizzle push a new
-// signature to endpoints within hours of a kit mutation.
+// versioned, optionally file-backed signature store, HTTP handlers that
+// serve incremental updates (conditional GET and long-poll watch), and a
+// client whose one update loop keeps a consumer's matcher current — the
+// loop that lets Kizzle push a new signature to endpoints within hours
+// of a kit mutation.
 //
 // The wire is conditional and delta-aware at every layer, sized for ten
 // thousand replicas polling one publisher. Store.Publish does not bump
@@ -17,6 +18,6 @@
 // falling back to one full fetch on any mismatch. The client validates
 // every update by compiling it (incrementally, per changed family, via
 // kizzle.MatcherCache) before reporting it, and exposes that compiled
-// matcher so deployments never pay for a second compile. Poll spreads
-// replica fetches with ±jitter so fleets do not synchronize.
+// matcher so deployments never pay for a second compile. Client.Run
+// spreads replica rounds with ±jitter so fleets do not synchronize.
 package sigdb

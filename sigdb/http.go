@@ -15,8 +15,10 @@ import (
 	"kizzle"
 )
 
-// maxUpdateBytes caps one POSTed signature set (4 MiB holds thousands of
-// signatures; Figure 12 sizes run to ~2 KB each).
+// maxUpdateBytes caps one signature set on the wire, in every direction:
+// a POSTed update, a set the store will publish (see prepare), and an
+// update body a Client reads. 4 MiB holds thousands of signatures;
+// Figure 12 sizes run to ~2 KB each.
 const maxUpdateBytes = 4 << 20
 
 // Handler serves the store over HTTP:
@@ -122,23 +124,24 @@ func (s *Store) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintf(w, "{\"version\":%d}\n", version)
 }
 
-// Client polls a signature server and applies updates. It asks for
-// per-family deltas once it holds a snapshot (reconstructing and
-// validating the full set locally), sends If-None-Match so unchanged
-// polls cost a 304 and no body, and compiles what it fetches through an
-// incremental per-family cache so a one-family delta recompiles one
-// family. Run prefers the server-push watch endpoint over polling (see
-// watch.go). Fetch/Poll/Run must run from one goroutine; Metrics and
-// Matcher are safe to call from others.
+// Client keeps a replica's signature set current from a signature
+// server. It asks for per-family deltas once it holds a snapshot
+// (reconstructing and validating the full set locally), sends
+// If-None-Match on conditional GETs so an unchanged set costs a 304 and
+// no body, reads at most maxUpdateBytes of any update, and compiles what
+// it fetches through an incremental per-family cache so a one-family
+// delta recompiles one family. Fetch is one conditional GET; Run is the
+// update loop (see watch.go). Fetch and Run must run from one goroutine;
+// Metrics and Matcher are safe to call from others.
 type Client struct {
 	// URL is the update endpoint (the path Handler is mounted at).
 	URL string
 	// HTTPClient defaults to http.DefaultClient.
 	HTTPClient *http.Client
-	// Jitter spreads every poll interval uniformly by ±Jitter fraction
+	// Jitter spreads every wait in Run uniformly by ±Jitter fraction
 	// (0.1 = ±10%), so a fleet of replicas started together does not
 	// stampede the signature server on one synchronized tick. Zero means
-	// fixed intervals.
+	// fixed waits.
 	Jitter float64
 	// JitterSeed seeds this client's private jitter source. Zero draws a
 	// unique seed per client (replicas still de-synchronize), a non-zero
@@ -146,18 +149,6 @@ type Client struct {
 	// schedules reproduce. The client never touches the process-global
 	// math/rand state.
 	JitterSeed int64
-	// WatchURL is the server-push endpoint Run long-polls (the path
-	// WatchHandler is mounted at). Empty derives URL + "/watch", matching
-	// sigserve's mount.
-	WatchURL string
-	// WatchMinRound floors one no-update watch round: Run treats a round
-	// that completes faster than this without delivering an update (an
-	// intermediary answering 304 eagerly, a non-store server replying
-	// not-newer immediately) as suspicious and sleeps the difference, so
-	// a misbehaving endpoint sees at most ~1/WatchMinRound requests per
-	// replica instead of a fleet-wide busy loop. Zero takes
-	// defaultWatchMinRound (1s); negative disables pacing.
-	WatchMinRound time.Duration
 	// Strict refuses uncertified updates: every fetched set must carry an
 	// attestation at AttestURL whose SetDigest matches the bytes fetched,
 	// and (when CertKey is set) whose HMAC verifies. A rejected update
@@ -169,6 +160,10 @@ type Client struct {
 	// CertKey, when non-empty, is the shared certification key used to
 	// verify attestation MACs in strict mode.
 	CertKey []byte
+
+	// watchFloor overrides defaultWatchFloor when positive (tests pace
+	// fast fake endpoints with it).
+	watchFloor time.Duration
 
 	version int64
 	etag    string
@@ -232,9 +227,15 @@ func (c *Client) Metrics() map[string]any {
 // advances: a set that does not compile is never reported, and a delta
 // that does not apply cleanly falls back to one full fetch.
 func (c *Client) Fetch(ctx context.Context) (Snapshot, bool, error) {
-	// Deltas need the retained base snapshot; before the first success
-	// there is nothing to apply one to.
-	snap, etag, ok, err := c.fetch(ctx, c.last.Version > 0)
+	return c.round(ctx, c.URL)
+}
+
+// round performs one GET against base — URL or its watch endpoint, which
+// speak the identical wire format — and runs any update through
+// advance's gates. Deltas need the retained base snapshot, so they are
+// asked for only once one is held.
+func (c *Client) round(ctx context.Context, base string) (Snapshot, bool, error) {
+	snap, etag, ok, err := c.fetchFrom(ctx, base, c.last.Version > 0)
 	if err != nil || !ok {
 		return Snapshot{}, false, err
 	}
@@ -243,9 +244,8 @@ func (c *Client) Fetch(ctx context.Context) (Snapshot, bool, error) {
 
 // advance runs one fetched snapshot through every deploy gate — compile
 // validation, multi compilation, the strict attestation check — and
-// commits the client's state only past all of them. Shared by the
-// polling and watch paths, so a pushed update obeys exactly the gates a
-// polled one does.
+// commits the client's state only past all of them, so a pushed update
+// obeys exactly the gates a polled one does.
 func (c *Client) advance(ctx context.Context, snap Snapshot, etag string) (Snapshot, bool, error) {
 	m, stats, buildErr := c.cache.Build(snap.Signatures)
 	if buildErr != nil {
@@ -259,7 +259,7 @@ func (c *Client) advance(ctx context.Context, snap Snapshot, etag string) (Snaps
 		// Certification gate: refuse to deploy bytes whose provenance the
 		// publisher cannot attest. Runs after compile validation and before
 		// any state advances, so a rejected set leaves the client exactly
-		// where it was — last attested matcher serving, same poll baseline.
+		// where it was — last attested matcher serving, same baseline.
 		if err := c.verifyAttestation(ctx, snap); err != nil {
 			c.attestRejected.Add(1)
 			return Snapshot{}, false, err
@@ -330,7 +330,8 @@ func (c *Client) verifyAttestation(ctx context.Context, snap Snapshot) error {
 }
 
 // statusError carries a non-OK HTTP status so callers can classify it
-// (the watch path downgrades 404/405/501 to "endpoint unsupported").
+// (Run reads 404/405/501 from the watch endpoint as "endpoint
+// unsupported").
 type statusError struct {
 	code   int
 	status string
@@ -338,21 +339,14 @@ type statusError struct {
 
 func (e *statusError) Error() string { return "sigdb: server returned " + e.status }
 
-// fetch performs one conditional GET against the poll endpoint; see
-// fetchFrom.
-func (c *Client) fetch(ctx context.Context, wantDelta bool) (Snapshot, string, bool, error) {
-	return c.fetchFrom(ctx, c.URL, wantDelta, true)
-}
-
-// fetchFrom performs one GET against base (the poll endpoint or the
-// long-poll watch endpoint — both speak the identical wire format),
-// optionally asking for a delta, and returns the (reconstructed) full
-// snapshot plus the response's ETag. The caller commits the ETag once
-// the update passes every gate; fetchFrom itself must not, or a rejected
-// update would 304 away on the next poll. conditional controls the
-// If-None-Match header: the watch endpoint decides on since alone, and a
-// parked watch request must not 304 against the ETag it already holds.
-func (c *Client) fetchFrom(ctx context.Context, base string, wantDelta, conditional bool) (Snapshot, string, bool, error) {
+// fetchFrom performs one GET against base, optionally asking for a
+// delta, and returns the (reconstructed) full snapshot plus the
+// response's ETag. The caller commits the ETag once the update passes
+// every gate; fetchFrom itself must not, or a rejected update would 304
+// away on the next round. Only GETs against URL are conditional: the
+// watch endpoint decides on since alone, and a parked watch request must
+// not 304 against the ETag it already holds.
+func (c *Client) fetchFrom(ctx context.Context, base string, wantDelta bool) (Snapshot, string, bool, error) {
 	hc := c.HTTPClient
 	if hc == nil {
 		hc = http.DefaultClient
@@ -365,7 +359,7 @@ func (c *Client) fetchFrom(ctx context.Context, base string, wantDelta, conditio
 	if err != nil {
 		return Snapshot{}, "", false, fmt.Errorf("sigdb: build request: %w", err)
 	}
-	if conditional && c.etag != "" {
+	if base == c.URL && c.etag != "" {
 		req.Header.Set("If-None-Match", c.etag)
 	}
 	resp, err := hc.Do(req)
@@ -381,9 +375,15 @@ func (c *Client) fetchFrom(ctx context.Context, base string, wantDelta, conditio
 	default:
 		return Snapshot{}, "", false, &statusError{code: resp.StatusCode, status: resp.Status}
 	}
-	body, err := io.ReadAll(resp.Body)
+	// Bound the read: a broken or hostile server (or intermediary) must
+	// not be able to exhaust a replica's memory. The round fails and the
+	// last applied set keeps serving.
+	body, err := io.ReadAll(io.LimitReader(resp.Body, maxUpdateBytes+1))
 	if err != nil {
 		return Snapshot{}, "", false, fmt.Errorf("sigdb: read update: %w", err)
+	}
+	if len(body) > maxUpdateBytes {
+		return Snapshot{}, "", false, fmt.Errorf("sigdb: update exceeds %d bytes", maxUpdateBytes)
 	}
 	var probe struct {
 		IsDelta bool `json:"delta"`
@@ -412,7 +412,7 @@ func (c *Client) fetchFrom(ctx context.Context, base string, wantDelta, conditio
 		// An inapplicable delta (base drift, truncated history semantics)
 		// must not deploy a guess; take one full snapshot instead.
 		c.deltaFailures.Add(1)
-		return c.fetch(ctx, false)
+		return c.fetchFrom(ctx, c.URL, false)
 	}
 	return snap, etag, true, nil
 }
@@ -448,32 +448,4 @@ func (c *Client) jitteredInterval(interval time.Duration) time.Duration {
 		d = interval
 	}
 	return d
-}
-
-// Poll fetches on the given interval (jittered per round when Jitter is
-// set) and hands each new snapshot to apply, until ctx is cancelled.
-// Transient fetch errors are reported to onError (which may be nil) and
-// polling continues — one failed request must not kill the update loop.
-func (c *Client) Poll(ctx context.Context, interval time.Duration, apply func(Snapshot), onError func(error)) {
-	timer := time.NewTimer(c.jitteredInterval(interval))
-	defer timer.Stop()
-	for {
-		snap, updated, err := c.Fetch(ctx)
-		if err != nil {
-			if ctx.Err() != nil {
-				return
-			}
-			if onError != nil {
-				onError(err)
-			}
-		} else if updated {
-			apply(snap)
-		}
-		select {
-		case <-ctx.Done():
-			return
-		case <-timer.C:
-		}
-		timer.Reset(c.jitteredInterval(interval))
-	}
 }

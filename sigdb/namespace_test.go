@@ -188,7 +188,7 @@ func TestNamespacedFamiliesEndToEnd(t *testing.T) {
 	}
 	blocked := 0
 	for _, s := range stream.MaliciousDay(webkitTrainDay) {
-		dec := vetter.Vet(s.Content)
+		dec := vetter.VetBytes([]byte(s.Content))
 		if !dec.Blocked {
 			continue
 		}

@@ -45,6 +45,36 @@ func validateFamilies(sigs []kizzle.Signature, multi []kizzle.MultiSignature) er
 	return nil
 }
 
+// maxVersionField is the widest version field (math.MaxInt64) a served
+// snapshot adds to the update encoding of the same set.
+const maxVersionField = len(`"version":9223372036854775807,`)
+
+// prepare validates a candidate set for every publishing path — family
+// names unambiguous, served size within maxUpdateBytes (a larger set
+// would be refused by every client), compiles — and returns it as an
+// unversioned snapshot along with its update encoding, the serialized
+// form publishes compare.
+func prepare(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (Snapshot, []byte, error) {
+	next, err := json.Marshal(update{Signatures: sigs, Multi: multi})
+	if err != nil {
+		return Snapshot{}, nil, fmt.Errorf("sigdb: marshal candidate: %w", err)
+	}
+	if size := len(next) + maxVersionField; size > maxUpdateBytes {
+		return Snapshot{}, nil, fmt.Errorf("sigdb: signature set is %d bytes on the wire, over the %d-byte limit clients accept", size, maxUpdateBytes)
+	}
+	if err := validateFamilies(sigs, multi); err != nil {
+		return Snapshot{}, nil, err
+	}
+	candidate := Snapshot{
+		Signatures: append([]kizzle.Signature(nil), sigs...),
+		Multi:      append([]kizzle.MultiSignature(nil), multi...),
+	}
+	if _, _, err := candidate.Matcher(); err != nil {
+		return Snapshot{}, nil, err
+	}
+	return candidate, next, nil
+}
+
 // Snapshot is one immutable version of the signature set.
 type Snapshot struct {
 	// Version increases monotonically with every Replace.
@@ -158,18 +188,8 @@ func (s *Store) Snapshot() Snapshot {
 // identical set. A changed set goes through Replace (compile-validated,
 // atomically persisted).
 func (s *Store) Publish(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (version int64, changed bool, err error) {
-	next, err := json.Marshal(update{Signatures: sigs, Multi: multi})
+	candidate, next, err := prepare(sigs, multi)
 	if err != nil {
-		return 0, false, fmt.Errorf("sigdb: marshal candidate: %w", err)
-	}
-	if err := validateFamilies(sigs, multi); err != nil {
-		return 0, false, err
-	}
-	candidate := Snapshot{
-		Signatures: append([]kizzle.Signature(nil), sigs...),
-		Multi:      append([]kizzle.MultiSignature(nil), multi...),
-	}
-	if _, _, err := candidate.Matcher(); err != nil {
 		return 0, false, err
 	}
 	// Compare and install under one write lock: a concurrent Replace
@@ -188,16 +208,11 @@ func (s *Store) Publish(sigs []kizzle.Signature, multi []kizzle.MultiSignature) 
 
 // Replace installs a new signature set, bumps the version, and (for
 // file-backed stores) persists atomically via rename. The new set is
-// compiled first: invalid signatures never reach the store.
+// validated first (see prepare): invalid signatures never reach the
+// store.
 func (s *Store) Replace(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (int64, error) {
-	if err := validateFamilies(sigs, multi); err != nil {
-		return 0, err
-	}
-	candidate := Snapshot{
-		Signatures: append([]kizzle.Signature(nil), sigs...),
-		Multi:      append([]kizzle.MultiSignature(nil), multi...),
-	}
-	if _, _, err := candidate.Matcher(); err != nil {
+	candidate, _, err := prepare(sigs, multi)
+	if err != nil {
 		return 0, err
 	}
 	s.mu.Lock()

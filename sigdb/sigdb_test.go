@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -303,10 +304,15 @@ func TestHTTPPostUpdate(t *testing.T) {
 	}
 }
 
+// TestPollAppliesUpdatesAndStops pins Run's polling rounds: against a
+// server without the watch endpoint, every publish is applied at poll
+// cadence, and the loop stops on cancel.
 func TestPollAppliesUpdatesAndStops(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	store := New()
-	srv := httptest.NewServer(store.Handler())
+	mux := http.NewServeMux()
+	mux.Handle("/signatures", store.Handler()) // no /signatures/watch
+	srv := httptest.NewServer(mux)
 	defer srv.Close()
 
 	sigs := trainSignatures(t, day)
@@ -318,10 +324,10 @@ func TestPollAppliesUpdatesAndStops(t *testing.T) {
 	var got []int64
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
-	client := &Client{URL: srv.URL}
+	client := &Client{URL: srv.URL + "/signatures"}
 	go func() {
 		defer close(done)
-		client.Poll(ctx, 5*time.Millisecond, func(s Snapshot) {
+		client.Run(ctx, 5*time.Millisecond, func(s Snapshot) {
 			mu.Lock()
 			got = append(got, s.Version)
 			mu.Unlock()
@@ -370,10 +376,13 @@ func TestPollAppliesUpdatesAndStops(t *testing.T) {
 	if got[0] != 1 || got[1] != 2 {
 		t.Errorf("applied versions %v, want [1 2 ...]", got)
 	}
+	if m := client.Metrics(); m["watch_fallback"].(int64) != 1 || m["watch_updates"].(int64) != 0 {
+		t.Errorf("watch_fallback = %v, watch_updates = %v; want 1, 0 (updates came by polling)", m["watch_fallback"], m["watch_updates"])
+	}
 }
 
 func TestPollSurvivesServerErrors(t *testing.T) {
-	// Point the client at a dead server: Poll must keep running and
+	// Point the client at a dead server: Run must keep running and
 	// reporting errors until cancelled.
 	client := &Client{URL: "http://127.0.0.1:1/nothing"}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -381,7 +390,7 @@ func TestPollSurvivesServerErrors(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		client.Poll(ctx, time.Millisecond, func(Snapshot) {
+		client.Run(ctx, time.Millisecond, func(Snapshot) {
 			t.Error("no update possible from dead server")
 		}, func(error) { errs++ })
 	}()
@@ -390,5 +399,80 @@ func TestPollSurvivesServerErrors(t *testing.T) {
 	<-done
 	if errs == 0 {
 		t.Error("expected transient errors to be reported")
+	}
+}
+
+// TestFetchBoundsUpdateBody pins the client's read bound: a server that
+// streams one byte more than maxUpdateBytes fails the round, and the
+// client keeps serving the set it already holds. The body is a valid
+// newer snapshot padded with whitespace, so only the bound stops it.
+func TestFetchBoundsUpdateBody(t *testing.T) {
+	store := New()
+	if _, err := store.Replace(trainSignatures(t, synth.Date(time.August, 5)), nil); err != nil {
+		t.Fatal(err)
+	}
+	newer := store.Snapshot()
+	newer.Version++
+	body, err := json.Marshal(newer)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append(body, bytes.Repeat([]byte(" "), maxUpdateBytes+1-len(body))...)
+	var flood atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if !flood.Load() {
+			store.Handler().ServeHTTP(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		w.Write(body)
+	}))
+	defer srv.Close()
+
+	c := &Client{URL: srv.URL}
+	ctx := context.Background()
+	if _, ok, err := c.Fetch(ctx); err != nil || !ok {
+		t.Fatalf("initial fetch: ok=%v err=%v", ok, err)
+	}
+	held, _ := c.Matcher()
+	flood.Store(true)
+	if _, ok, err := c.Fetch(ctx); err == nil || ok {
+		t.Fatalf("oversized update: ok=%v err=%v, want an error", ok, err)
+	}
+	if c.version != 1 {
+		t.Errorf("client advanced to version %d on an oversized body", c.version)
+	}
+	if m, _ := c.Matcher(); m != held {
+		t.Error("oversized body replaced the serving matcher")
+	}
+}
+
+// TestPublishRefusesOversizedSet: no publishing path installs a set
+// whose served snapshot clients would refuse to read.
+func TestPublishRefusesOversizedSet(t *testing.T) {
+	base := trainSignatures(t, synth.Date(time.August, 5))
+	unit, err := json.Marshal(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var big []kizzle.Signature
+	for size := 0; size <= maxUpdateBytes; size += len(unit) {
+		big = append(big, base...)
+	}
+	store := New()
+	if _, err := store.Replace(base, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.Replace(big, nil); err == nil {
+		t.Error("Replace accepted an oversized set")
+	}
+	if _, _, err := store.Publish(big, nil); err == nil {
+		t.Error("Publish accepted an oversized set")
+	}
+	if _, _, _, err := store.PublishAttested(big, nil, "corpus", PathDescriptor{}, PathDescriptor{}); err == nil {
+		t.Error("PublishAttested accepted an oversized set")
+	}
+	if v := store.Version(); v != 1 {
+		t.Errorf("version = %d after refused publishes, want 1", v)
 	}
 }

@@ -16,8 +16,8 @@ import (
 const defaultWatchWait = 55 * time.Second
 
 // ErrWatchUnsupported reports that the server has no watch endpoint
-// (404/405/501); Run falls back to jittered conditional polling for the
-// client's lifetime.
+// (404/405/501); Run reports it once and targets the client's URL with
+// jittered conditional GETs for the rest of its life.
 var ErrWatchUnsupported = errors.New("sigdb: server does not support watch")
 
 // WatchHandler serves the server-push side of the distribution channel:
@@ -25,8 +25,8 @@ var ErrWatchUnsupported = errors.New("sigdb: server does not support watch")
 //	GET <path>?since=<version>[&delta=1]
 //
 // A request whose since is behind the store answers immediately with the
-// same body the poll endpoint would serve (full snapshot, or per-family
-// delta when asked for and smaller). A current request parks until the
+// same body Handler would serve (full snapshot, or per-family delta when
+// asked for and smaller). A current request parks until the
 // next publish — completing the moment a newer version installs, so a
 // version change reaches every parked replica in ~1 RTT instead of a
 // poll interval — or until the wait bound elapses, which answers 304 and
@@ -77,123 +77,106 @@ func (s *Store) watchHandler(maxWait time.Duration) http.Handler {
 	})
 }
 
-// watchFetch performs one long-poll round against the watch endpoint and
-// runs any returned update through the same deploy gates as Fetch.
-// (Snapshot, true) means an update deployed; (zero, false, nil) is the
-// server's heartbeat tick (304 after the park bound) — reconnect
-// immediately. ErrWatchUnsupported (wrapped) reports a server without
-// the endpoint.
-func (c *Client) watchFetch(ctx context.Context) (Snapshot, bool, error) {
-	base := c.WatchURL
-	if base == "" {
-		base = c.URL + "/watch"
-	}
-	snap, etag, ok, err := c.fetchFrom(ctx, base, c.last.Version > 0, false)
-	if err != nil {
-		var se *statusError
-		if errors.As(err, &se) {
-			switch se.code {
-			case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
-				return Snapshot{}, false, ErrWatchUnsupported
-			}
-		}
-		return Snapshot{}, false, err
-	}
-	if !ok {
-		c.watchTicks.Add(1)
-		return Snapshot{}, false, nil
-	}
-	snap, updated, err := c.advance(ctx, snap, etag)
-	if updated {
-		c.watchUpdates.Add(1)
-	}
-	return snap, updated, err
-}
+const (
+	// defaultWatchFloor paces no-update watch rounds. A healthy round
+	// either delivers an update or parks server-side for tens of
+	// seconds, so one finishing faster means something in the path (an
+	// eager intermediary, a non-store implementation) answers at once —
+	// and with no floor every replica would spin the fleet's full
+	// request rate against it.
+	defaultWatchFloor = time.Second
+	// minBackoff and maxBackoff bound Run's doubling backoff after a
+	// failed round.
+	minBackoff = 250 * time.Millisecond
+	maxBackoff = 15 * time.Second
+)
 
-// watchBackoffCeiling caps the retry backoff after watch stream drops.
-const watchBackoffCeiling = 15 * time.Second
-
-// defaultWatchMinRound is the pacing floor for no-update watch rounds: a
-// healthy round either delivers an update or parks server-side for tens
-// of seconds, so one finishing this fast without news means something in
-// the path (an eager intermediary, a non-store implementation) is
-// answering immediately — and with no floor, every replica would spin
-// the full fleet's request rate against it.
-const defaultWatchMinRound = time.Second
-
-// watchMinRound resolves the client's pacing floor (see WatchMinRound).
-func (c *Client) watchMinRound() time.Duration {
-	if c.WatchMinRound != 0 {
-		return c.WatchMinRound
-	}
-	return defaultWatchMinRound
-}
-
-// Run keeps the client current until ctx cancels, preferring server push
-// with polling as the safety net. It long-polls the watch endpoint —
-// each update deploys through the same validation/strict gates as Fetch,
-// and each completed round reconnects immediately (a round that answers
-// suspiciously fast without an update is paced to WatchMinRound, so an
-// eager 304-answering intermediary cannot turn the fleet into a busy
-// loop) — and degrades gracefully when push is unavailable: a server
-// without the endpoint drops Run to Poll (jittered conditional polling
-// at interval) for good, and a dropped stream retries with capped,
-// jittered exponential backoff while a conditional poll per failed round
-// keeps updates flowing at poll cadence in the meantime. Like
-// Fetch/Poll, Run must be the only goroutine driving this client.
+// Run keeps the client current until ctx cancels. It is one loop; each
+// round is one GET through Fetch's deploy gates, so a pushed update
+// obeys exactly the gates a polled one does. Rounds target the watch
+// endpoint (URL + "/watch", sigserve's mount), which answers a client
+// that is behind at once and parks a current one until the next publish.
+// A server answering 404, 405 or 501 there has no watch endpoint; Run
+// then targets URL for good — a watch with zero park time.
+//
+// After an update Run hands it to apply and starts the next round at
+// once. After a round with no update it waits until a jittered floor has
+// passed since the round began: 1s against the watch endpoint, interval
+// against URL. After a failed round it reports the error to onError
+// (which may be nil) and backs off from 250ms, doubling to 15s, never
+// waiting less than the floor — a crashed server is not hammered by the
+// whole fleet reconnecting. Like Fetch, Run must be the only goroutine
+// driving this client.
 func (c *Client) Run(ctx context.Context, interval time.Duration, apply func(Snapshot), onError func(error)) {
-	backoff := time.Duration(0)
-	for ctx.Err() == nil {
-		start := time.Now()
-		snap, updated, err := c.watchFetch(ctx)
-		if err == nil {
-			backoff = 0
-			if updated {
-				apply(snap)
-			} else if elapsed := time.Since(start); elapsed < c.watchMinRound() {
-				// An empty round should have parked server-side for ~the
-				// wait bound; one returning immediately means the endpoint
-				// is answering eagerly. Sleep out the floor (jittered, so
-				// paced replicas de-synchronize) instead of hammering it.
-				c.watchPaced.Add(1)
-				if !sleepCtx(ctx, c.jitteredInterval(c.watchMinRound()-elapsed)) {
-					return
-				}
-			}
-			continue
-		}
-		if ctx.Err() != nil {
-			return
-		}
-		if errors.Is(err, ErrWatchUnsupported) {
-			c.watchFallback.Add(1)
-			if onError != nil {
-				onError(err)
-			}
-			c.Poll(ctx, interval, apply, onError)
-			return
-		}
-		c.watchDrops.Add(1)
+	report := func(err error) {
 		if onError != nil {
 			onError(err)
 		}
-		// The watch stream dropped (or its update failed a gate). Fall
-		// back to one conditional poll so a pending update still lands,
-		// then back off before re-arming the stream — a crashed server
-		// must not be hammered by the whole fleet reconnecting in a tight
-		// loop.
-		if snap, updated, ferr := c.Fetch(ctx); ferr == nil && updated {
+	}
+	base, floor, watching := c.URL+"/watch", defaultWatchFloor, true
+	if c.watchFloor > 0 {
+		floor = c.watchFloor
+	}
+	var backoff time.Duration
+	for ctx.Err() == nil {
+		start := time.Now()
+		snap, updated, err := c.round(ctx, base)
+		wait := floor
+		switch {
+		case updated:
+			backoff = 0
+			if watching {
+				c.watchUpdates.Add(1)
+			}
 			apply(snap)
+			continue
+		case err == nil:
+			backoff = 0
+			if watching {
+				c.watchTicks.Add(1)
+			}
+		case ctx.Err() != nil:
+			return
+		case watching && unsupported(err):
+			c.watchFallback.Add(1)
+			report(ErrWatchUnsupported)
+			base, floor, watching = c.URL, interval, false
+			continue
+		default:
+			if watching {
+				c.watchDrops.Add(1)
+			}
+			report(err)
+			backoff = min(max(2*backoff, minBackoff), maxBackoff)
+			wait = max(backoff, floor)
 		}
-		if backoff == 0 {
-			backoff = 250 * time.Millisecond
-		} else if backoff *= 2; backoff > watchBackoffCeiling {
-			backoff = watchBackoffCeiling
+		wait = c.jitteredInterval(wait) - time.Since(start)
+		if wait <= 0 {
+			continue
 		}
-		if !sleepCtx(ctx, c.jitteredInterval(backoff)) {
+		if watching && err == nil {
+			// An empty watch round should have parked server-side; one
+			// this fast means the endpoint answers eagerly.
+			c.watchPaced.Add(1)
+		}
+		if !sleepCtx(ctx, wait) {
 			return
 		}
 	}
+}
+
+// unsupported reports whether err is a status meaning "no such
+// endpoint".
+func unsupported(err error) bool {
+	var se *statusError
+	if !errors.As(err, &se) {
+		return false
+	}
+	switch se.code {
+	case http.StatusNotFound, http.StatusMethodNotAllowed, http.StatusNotImplemented:
+		return true
+	}
+	return false
 }
 
 // sleepCtx sleeps for d or until ctx cancels; it reports false on

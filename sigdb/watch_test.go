@@ -65,8 +65,8 @@ func TestWatchPushImmediate(t *testing.T) {
 			defer wg.Done()
 			var once sync.Once
 			go func() { time.Sleep(50 * time.Millisecond); once.Do(ready.Done) }()
-			// Poll interval is an hour: any update that arrives arrived by
-			// push, not by the polling fallback.
+			// The poll interval is an hour: any update that arrives arrived
+			// by push, not by polling.
 			c.Run(ctx, time.Hour, func(snap Snapshot) {
 				got[i].mu.Lock()
 				got[i].snaps = append(got[i].snaps, snap)
@@ -242,7 +242,7 @@ func TestWatchPacesEagerServer(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	c := &Client{URL: srv.URL + "/signatures", JitterSeed: 5, WatchMinRound: 20 * time.Millisecond}
+	c := &Client{URL: srv.URL + "/signatures", JitterSeed: 5, watchFloor: 20 * time.Millisecond}
 	ctx, cancel := context.WithTimeout(context.Background(), 250*time.Millisecond)
 	defer cancel()
 	c.Run(ctx, time.Hour, func(Snapshot) {}, nil)
@@ -258,7 +258,7 @@ func TestWatchPacesEagerServer(t *testing.T) {
 }
 
 // TestWatchFallsBackToPolling pins the unsupported-endpoint path: against
-// a server with only the poll endpoint, Run degrades to Poll and still
+// a server with only the poll endpoint, Run targets it for good and still
 // delivers updates at poll cadence.
 func TestWatchFallsBackToPolling(t *testing.T) {
 	store := New()
@@ -315,9 +315,9 @@ func TestWatchTickReconnects(t *testing.T) {
 	srv := watchServer(store, 15*time.Millisecond)
 	defer srv.Close()
 
-	// A sub-floor WatchMinRound keeps the deliberately fast heartbeats of
-	// this test from being paced (pacing itself is pinned separately).
-	c := &Client{URL: srv.URL + "/signatures", JitterSeed: 3, WatchMinRound: -1}
+	// A floor under the heartbeat keeps the deliberately fast heartbeats
+	// of this test from being paced (pacing itself is pinned separately).
+	c := &Client{URL: srv.URL + "/signatures", JitterSeed: 3, watchFloor: time.Millisecond}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	if _, ok, err := c.Fetch(ctx); err != nil || !ok {
@@ -346,4 +346,37 @@ func TestWatchTickReconnects(t *testing.T) {
 	}
 	cancel()
 	<-done
+}
+
+// TestWatchBacksOffFailedRounds pins the failure pacing: against an
+// endpoint that fails every round, Run reports each failure and spaces
+// rounds by a doubling backoff from 250ms — never less than the floor —
+// instead of retrying in a tight loop.
+func TestWatchBacksOffFailedRounds(t *testing.T) {
+	var calls atomic.Int64
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		calls.Add(1)
+		http.Error(w, "down", http.StatusInternalServerError)
+	}))
+	defer srv.Close()
+
+	c := &Client{URL: srv.URL + "/signatures", watchFloor: 10 * time.Millisecond}
+	ctx, cancel := context.WithTimeout(context.Background(), 650*time.Millisecond)
+	defer cancel()
+	var errs atomic.Int64
+	c.Run(ctx, time.Hour, func(Snapshot) { t.Error("no update possible from a failing server") },
+		func(error) { errs.Add(1) })
+
+	// Rounds start at 0, 250ms and 750ms: two fit in 650ms. A backoff
+	// that did not double would fit a third at 500ms; an unpaced loop
+	// would make thousands.
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("failing endpoint saw %d rounds in 650ms, want 2", n)
+	}
+	if n := errs.Load(); n != calls.Load() {
+		t.Errorf("reported %d errors for %d failed rounds", n, calls.Load())
+	}
+	if n := c.Metrics()["watch_drops"].(int64); n != calls.Load() {
+		t.Errorf("watch_drops = %d, want %d", n, calls.Load())
+	}
 }
