@@ -44,8 +44,8 @@ SNAPSHOT ?= BENCH_PR4.json
 bench-pr-snapshot:
 	sh scripts/benchgate.sh snapshot $(SNAPSHOT)
 
-# 30-second fuzz runs of the untrusted-input surfaces; crashes fail,
-# time-box does not (the CI fuzz smoke).
+# 30-second fuzz runs of the untrusted-input surfaces and the distance
+# kernel; crashes fail, time-box does not (the CI fuzz smoke).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run=NONE -fuzz='^FuzzWorkerPartition$$' -fuzztime=$(FUZZTIME) ./internal/shardcoord/
@@ -57,6 +57,7 @@ fuzz-smoke:
 	go test -run=NONE -fuzz='^FuzzKnownDir$$' -fuzztime=$(FUZZTIME) ./cmd/sigserve/
 	go test -run=NONE -fuzz='^FuzzSampleDir$$' -fuzztime=$(FUZZTIME) ./cmd/sigserve/
 	go test -run=NONE -fuzz='^FuzzWebkitTokenize$$' -fuzztime=$(FUZZTIME) ./internal/webkittoken/
+	go test -run=NONE -fuzz='^FuzzDistanceWithin$$' -fuzztime=$(FUZZTIME) ./internal/textdist/
 
 # Coverage with a ratcheting floor (scripts/covergate.sh); writes
 # coverage.out for `go tool cover -html`.

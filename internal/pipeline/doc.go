@@ -17,8 +17,9 @@
 //     partitioning), and each partition is dispatched the moment it
 //     fills — a shard fleet clusters while the host still lexes the tail;
 //   - cluster + pre-reduce: weighted DBSCAN per partition over the
-//     allocation-free banded edit-distance kernel (textdist.Scratch +
-//     frequency lower bounds), then PreReducePartition compacts the
+//     allocation-free bit-parallel bounded edit-distance kernel
+//     (textdist.Scratch, pooled per worker, + frequency lower bounds),
+//     then PreReducePartition compacts the
 //     result (representative merge + local noise fold). The dominant
 //     cold-path cost and the stage that scales horizontally:
 //     Config.Clusterer dispatches work units to shard workers

@@ -3,6 +3,7 @@ package pipeline
 import (
 	"sort"
 	"strconv"
+	"sync"
 
 	"kizzle/internal/contentcache"
 	"kizzle/internal/dbscan"
@@ -22,20 +23,21 @@ import (
 //   - a symbol-frequency lower bound: one edit operation moves the
 //     per-symbol histograms by at most an L1 mass of 2, so a pair whose
 //     histogram L1 distance exceeds 2·maxDist cannot be within eps — an
-//     O(alphabet) test that spares the O(band·len) dynamic program for
-//     most cross-shape pairs;
+//     O(alphabet) test that spares the bounded edit distance for most
+//     cross-shape pairs;
 //
 //   - symmetric evaluation — each unordered pair is tested at most once;
 //
 //   - parallel evaluation across workers, each with its own reusable
-//     textdist.Scratch, so the distance stage does not allocate and large
-//     partitions no longer serialize on one goroutine.
+//     textdist.Scratch from a pool shared across calls, so the distance
+//     stage does not allocate and large partitions no longer serialize on
+//     one goroutine.
 //
 //   - a cross-run verdict cache: each within-eps decision is
 //     content-addressed by the pair's sequence identities (two
 //     independent 64-bit hashes plus length, each side), so a day whose
 //     unique sequences mostly recur re-reads yesterday's verdicts
-//     instead of re-running the dynamic program. ids and cache may be nil
+//     instead of re-running the distance kernel. ids and cache may be nil
 //     to disable.
 //
 // The resulting adjacency lists are in ascending order, making DBSCAN over
@@ -77,11 +79,32 @@ func neighborGraph(seqs [][]jstoken.Symbol, ids []seqID, cache *contentcache.Cac
 		}
 		return order[lo:hi]
 	}
-	scratches := make([]textdist.Scratch, workers)
+	scratches := getScratches(workers)
+	defer putScratches(scratches)
 	within := func(worker, a, b int) bool {
-		return pairWithin(seqs, ids, cache, idx[a], idx[b], h.at(a), h.at(b), eps, &scratches[worker])
+		return pairWithin(seqs, ids, cache, idx[a], idx[b], h.at(a), h.at(b), eps, scratches[worker])
 	}
 	return dbscan.PrecomputeNeighbors(n, workers, candidates, within)
+}
+
+// scratchPool recycles the distance kernel's per-worker scratches across
+// neighborGraph and sweepPairs calls: a compile runs one call per
+// partition and per edge job, and each would otherwise regrow the
+// kernel's block state and symbol table.
+var scratchPool = sync.Pool{New: func() any { return new(textdist.Scratch) }}
+
+func getScratches(n int) []*textdist.Scratch {
+	out := make([]*textdist.Scratch, n)
+	for i := range out {
+		out[i] = scratchPool.Get().(*textdist.Scratch)
+	}
+	return out
+}
+
+func putScratches(scratches []*textdist.Scratch) {
+	for _, s := range scratches {
+		scratchPool.Put(s)
+	}
 }
 
 // sweepPairs evaluates within-eps pair tests with the same pruning kernel
@@ -140,7 +163,8 @@ func sweepPairs(seqs [][]jstoken.Symbol, ids []seqID, cache *contentcache.Cache,
 		sortedLens[k] = len(seqs[targets[pos]])
 	}
 
-	scratches := make([]textdist.Scratch, workers)
+	scratches := getScratches(workers)
+	defer putScratches(scratches)
 	perRow := make([][][2]int, len(rows))
 	parallel.ForEach(len(rows), workers, 1, func(worker, ri int) {
 		rowSeq := seqs[rows[ri]]
@@ -155,7 +179,7 @@ func sweepPairs(seqs [][]jstoken.Symbol, ids []seqID, cache *contentcache.Cache,
 				continue
 			}
 			if !pairWithin(seqs, ids, cache, rows[ri], targets[tj],
-				rowHist(ri), targetHist(tj), eps, &scratches[worker]) {
+				rowHist(ri), targetHist(tj), eps, scratches[worker]) {
 				continue
 			}
 			hits = append(hits, [2]int{ri, tj})
@@ -224,9 +248,10 @@ func (h *histArena) at(k int) histRef {
 }
 
 // pairWithin runs the shared within-eps decision for one (a, b) sequence
-// pair: histogram lower bounds, then the cached verdict, then the banded
-// dynamic program. It mirrors neighborGraph's inline `within` exactly, so
-// sweepPairs and neighborGraph agree on every pair.
+// pair: histogram lower bounds, then the cached verdict, then the
+// bit-parallel bounded edit distance (textdist.Scratch.WithinNormalized).
+// neighborGraph and sweepPairs both decide every pair here, so they agree
+// on every pair.
 func pairWithin(seqs [][]jstoken.Symbol, ids []seqID, cache *contentcache.Cache,
 	a, b int, ha, hb histRef, eps float64, scratch *textdist.Scratch) bool {
 	ml := len(seqs[a])

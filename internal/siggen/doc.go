@@ -1,6 +1,9 @@
 // Package siggen implements Kizzle's signature creation algorithm
-// (paper §III-C): for a malicious cluster it finds the longest common token
-// substring (capped, unique in every sample), collects the distinct
+// (paper §III-C): for a malicious cluster it finds a long common token
+// substring, unique in every sample, by the paper's binary search over its
+// length (capped at 200; see FindCommonRun for why the search can miss
+// the longest), with a hashed window index per sample so each probe costs
+// time linear in the cluster's tokens; it then collects the distinct
 // concrete strings at every token offset, and compiles the result into a
 // structural regular-expression signature — literals where samples agree,
 // inferred character classes where they diverge, and back-references where

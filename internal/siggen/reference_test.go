@@ -1,0 +1,278 @@
+package siggen
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"math/rand"
+	"slices"
+	"strings"
+	"testing"
+
+	"kizzle/internal/ekit"
+	"kizzle/internal/jstoken"
+	"kizzle/internal/phishkit"
+	"kizzle/internal/webkittoken"
+)
+
+// referenceFindCommonRun is the paper's naive search, kept as the oracle
+// FindCommonRun is pinned to: the same binary search over N, where each
+// probe enumerates the shortest sequence's windows left to right and
+// scans every sequence for each of them.
+func referenceFindCommonRun(seqs [][]jstoken.Symbol, minTokens, maxTokens int) (CommonRun, bool) {
+	if len(seqs) == 0 || minTokens <= 0 {
+		return CommonRun{}, false
+	}
+	shortest := 0
+	for i, s := range seqs {
+		if len(s) < len(seqs[shortest]) {
+			shortest = i
+		}
+	}
+	hi := min(len(seqs[shortest]), maxTokens)
+	if hi < minTokens {
+		return CommonRun{}, false
+	}
+	var best CommonRun
+	found := false
+	lo := minTokens
+	for lo <= hi {
+		mid := (lo + hi) / 2
+		if run, ok := commonRunOfLength(seqs, shortest, mid); ok {
+			best, found = run, true
+			lo = mid + 1
+		} else {
+			hi = mid - 1
+		}
+	}
+	return best, found
+}
+
+// commonRunOfLength checks whether a common substring of exactly n symbols
+// exists that is unique in every sequence. Candidates are enumerated from
+// the shortest sequence; the first qualifying candidate (leftmost) wins.
+func commonRunOfLength(seqs [][]jstoken.Symbol, shortest, n int) (CommonRun, bool) {
+	base := seqs[shortest]
+candidates:
+	for start := 0; start+n <= len(base); start++ {
+		window := base[start : start+n]
+		starts := make([]int, len(seqs))
+		for i, s := range seqs {
+			pos, count := referenceOccurrences(s, window)
+			if count != 1 {
+				continue candidates
+			}
+			starts[i] = pos
+		}
+		return CommonRun{Length: n, Starts: starts}, true
+	}
+	return CommonRun{}, false
+}
+
+// referenceOccurrences returns the first match position of needle in
+// haystack and the number of matches, stopping after the second.
+func referenceOccurrences(haystack, needle []jstoken.Symbol) (first, count int) {
+	first = -1
+	for i := 0; i+len(needle) <= len(haystack); i++ {
+		if slices.Equal(haystack[i:i+len(needle)], needle) {
+			if count == 0 {
+				first = i
+			}
+			count++
+			if count > 1 {
+				return first, count
+			}
+		}
+	}
+	return first, count
+}
+
+// longestUniqueCommonRun is the exhaustive answer FindCommonRun's binary
+// search approximates: the longest N in [minTokens, maxTokens] at which a
+// probe succeeds, or 0.
+func longestUniqueCommonRun(seqs [][]jstoken.Symbol, minTokens, maxTokens int) int {
+	shortest := 0
+	for i, s := range seqs {
+		if len(s) < len(seqs[shortest]) {
+			shortest = i
+		}
+	}
+	for n := min(len(seqs[shortest]), maxTokens); n >= minTokens; n-- {
+		if _, ok := commonRunOfLength(seqs, shortest, n); ok {
+			return n
+		}
+	}
+	return 0
+}
+
+func checkAgainstReference(t *testing.T, what string, seqs [][]jstoken.Symbol, minTokens, maxTokens int) {
+	t.Helper()
+	got, gok := FindCommonRun(seqs, minTokens, maxTokens)
+	want, wok := referenceFindCommonRun(seqs, minTokens, maxTokens)
+	if gok != wok || got.Length != want.Length || fmt.Sprint(got.Starts) != fmt.Sprint(want.Starts) {
+		t.Fatalf("%s (min %d, max %d): FindCommonRun = %v %+v, reference %v %+v",
+			what, minTokens, maxTokens, gok, got, wok, want)
+	}
+}
+
+// junkDoc inserts a junk statement after each ';' of doc with
+// probability 0.12: the §V evasion compile-cold's samples carry.
+func junkDoc(doc string, rng *rand.Rand) string {
+	ident := func() string {
+		b := make([]byte, 3+rng.Intn(5))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	var sb strings.Builder
+	for _, s := range strings.SplitAfter(doc, ";") {
+		sb.WriteString(s)
+		if rng.Float64() >= 0.12 {
+			continue
+		}
+		switch rng.Intn(4) {
+		case 0:
+			fmt.Fprintf(&sb, "var %s=%s(%d);", ident(), ident(), 10+rng.Intn(90))
+		case 1:
+			sb.WriteString(ident() + "++;")
+		case 2:
+			fmt.Fprintf(&sb, "if(%s){%s=%d;}", ident(), ident(), 10+rng.Intn(90))
+		default:
+			fmt.Fprintf(&sb, "while(false){%s();}", ident())
+		}
+	}
+	return sb.String()
+}
+
+// kitClusters returns signature inputs shaped like the pipeline's: for
+// every exploit-kit and phishing-kit family, 24 junk-insertion variants
+// of the family's packed samples (the pipeline's per-cluster sample cap),
+// and 24 identical copies of one packed sample.
+func kitClusters() map[string][][]jstoken.Token {
+	rng := rand.New(rand.NewSource(19))
+	day := ekit.Date(8, 12)
+	out := map[string][][]jstoken.Token{}
+	for _, fam := range ekit.Families {
+		payload := ekit.Payload(fam, day)
+		var junk, same [][]jstoken.Token
+		for i := 0; i < 24; i++ {
+			junk = append(junk, jstoken.Lex(junkDoc(ekit.Pack(fam, payload, day, i), rng)))
+			same = append(same, jstoken.Lex(ekit.Pack(fam, payload, day, 0)))
+		}
+		out[fam.String()+"/junk"], out[fam.String()+"/identical"] = junk, same
+	}
+	for _, fam := range phishkit.Families {
+		payload := phishkit.Payload(fam, day)
+		var junk, same [][]jstoken.Token
+		for i := 0; i < 24; i++ {
+			junk = append(junk, webkittoken.LexDocument(junkDoc(phishkit.Pack(fam, payload, day, i), rng)))
+			same = append(same, webkittoken.LexDocument(phishkit.Pack(fam, payload, day, 0)))
+		}
+		out[fam.String()+"/junk"], out[fam.String()+"/identical"] = junk, same
+	}
+	return out
+}
+
+func abstractAll(samples [][]jstoken.Token) [][]jstoken.Symbol {
+	seqs := make([][]jstoken.Symbol, len(samples))
+	for i, s := range samples {
+		seqs[i] = jstoken.Abstract(s)
+	}
+	return seqs
+}
+
+// TestFindCommonRunMatchesReference pins the indexed search to the naive
+// one — the same length and the same start in every sample — on random
+// sequences over tiny alphabets (dense with repeats), on kit clusters,
+// and on identical samples.
+func TestFindCommonRunMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 3000; trial++ {
+		alpha := 1 + rng.Intn(4)
+		seq := func(n int) []jstoken.Symbol {
+			s := make([]jstoken.Symbol, n)
+			for i := range s {
+				s[i] = jstoken.Symbol(1 + rng.Intn(alpha))
+			}
+			return s
+		}
+		common := seq(rng.Intn(12))
+		seqs := make([][]jstoken.Symbol, 1+rng.Intn(5))
+		for i := range seqs {
+			// Random context around a shared core, so most trials have
+			// common runs and many have repeated ones.
+			seqs[i] = append(append(seq(rng.Intn(15)), common...), seq(rng.Intn(15))...)
+		}
+		checkAgainstReference(t, fmt.Sprintf("trial %d %v", trial, seqs), seqs, 1+rng.Intn(4), 1+rng.Intn(30))
+	}
+	for name, samples := range kitClusters() {
+		seqs := abstractAll(samples)
+		cfg := DefaultConfig()
+		checkAgainstReference(t, name, seqs, cfg.MinTokens, cfg.MaxTokens)
+		checkAgainstReference(t, name+" min 1", seqs, 1, cfg.MaxTokens)
+	}
+	same := [][]jstoken.Symbol{{3, 1, 4, 1, 5, 9, 2, 6}, {3, 1, 4, 1, 5, 9, 2, 6}, {3, 1, 4, 1, 5, 9, 2, 6}}
+	checkAgainstReference(t, "identical", same, 1, 200)
+}
+
+// TestGenerateMatchesReference: signatures built on the indexed search
+// are byte-identical, as JSON, to signatures built on the naive one.
+func TestGenerateMatchesReference(t *testing.T) {
+	cfg := DefaultConfig()
+	for name, samples := range kitClusters() {
+		got, err := Generate(name, samples, cfg)
+		run, ok := referenceFindCommonRun(abstractAll(samples), cfg.MinTokens, cfg.MaxTokens)
+		if !ok {
+			if err != ErrNoCommonRun {
+				t.Fatalf("%s: Generate error %v, reference finds no run", name, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var gs groupState
+		want := Signature{Family: name, Elements: gs.build(samples, run, cfg), Samples: len(samples)}
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(want)
+		if !bytes.Equal(gj, wj) {
+			t.Fatalf("%s: signature\n%s\nreference\n%s", name, gj, wj)
+		}
+	}
+}
+
+// TestFindCommonRunBinarySearchMissesRuns pins a known defect, not a
+// wanted behaviour: the binary search assumes that a unique common run of
+// length N exists for every N below the longest, but the prefix of a
+// unique run can repeat. On these inputs a unique common run exists and
+// FindCommonRun still reports none, which leaves such a cluster without
+// a signature. Changing the search changes signatures, so it is pinned
+// here until it is mended deliberately.
+func TestFindCommonRunBinarySearchMissesRuns(t *testing.T) {
+	tests := []struct {
+		name    string
+		seqs    [][]jstoken.Symbol
+		longest int
+	}{
+		{"one repetitive sequence", [][]jstoken.Symbol{{2, 2, 2, 2}}, 4},
+		{"three sequences", [][]jstoken.Symbol{
+			{2, 1, 1, 2, 1, 2, 2, 1},
+			{1, 1, 1, 2, 2, 2, 1, 2, 1, 2, 1},
+			{1, 2, 2, 2, 1, 1, 2, 2, 2},
+		}, 3},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			if got := longestUniqueCommonRun(tt.seqs, 1, 200); got != tt.longest {
+				t.Fatalf("longest unique common run = %d, want %d", got, tt.longest)
+			}
+			if run, ok := FindCommonRun(tt.seqs, 1, 200); ok {
+				t.Fatalf("FindCommonRun = %+v; the binary search used to miss this run", run)
+			}
+			if _, ok := referenceFindCommonRun(tt.seqs, 1, 200); ok {
+				t.Fatal("the reference search found a run")
+			}
+		})
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"kizzle/internal/ekit"
 	"kizzle/internal/jstoken"
 )
 
@@ -366,5 +367,38 @@ func BenchmarkGenerate(b *testing.B) {
 		if _, err := Generate("RIG", samples, DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkFindCommonRun times the common-run search at the pipeline's
+// 24-sample cap on the four exploit kits, one search per kit per op:
+// identical samples, where the first candidate of every probe wins, and
+// junk-insertion variants, where most candidates fail on some sample.
+func BenchmarkFindCommonRun(b *testing.B) {
+	rng := rand.New(rand.NewSource(29))
+	day := ekit.Date(8, 12)
+	clusters := map[string][][][]jstoken.Symbol{}
+	for _, fam := range ekit.Families {
+		payload := ekit.Payload(fam, day)
+		var junk, same [][]jstoken.Symbol
+		for i := 0; i < 24; i++ {
+			junk = append(junk, jstoken.Abstract(jstoken.Lex(junkDoc(ekit.Pack(fam, payload, day, i), rng))))
+			same = append(same, jstoken.Abstract(jstoken.Lex(ekit.Pack(fam, payload, day, 0))))
+		}
+		clusters["junk"] = append(clusters["junk"], junk)
+		clusters["identical"] = append(clusters["identical"], same)
+	}
+	cfg := DefaultConfig()
+	for _, name := range []string{"identical", "junk"} {
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				for _, seqs := range clusters[name] {
+					if _, ok := FindCommonRun(seqs, cfg.MinTokens, cfg.MaxTokens); !ok {
+						b.Fatal("no common run")
+					}
+				}
+			}
+		})
 	}
 }

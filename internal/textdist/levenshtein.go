@@ -1,12 +1,23 @@
 package textdist
 
-import "kizzle/internal/jstoken"
+import (
+	"math/bits"
 
-// Scratch holds reusable dynamic-programming rows for distance
-// computations. The zero value is ready to use. A Scratch is not safe for
-// concurrent use; give each worker goroutine its own.
+	"kizzle/internal/jstoken"
+)
+
+// Scratch holds the reusable state of the distance computations: the
+// dynamic-programming rows of Distance and the bit-parallel blocks of
+// DistanceWithin. The zero value is ready to use. A Scratch is not safe
+// for concurrent use; give each worker goroutine its own.
 type Scratch struct {
 	prev, curr []int
+
+	pv, mv []uint64 // per block: vertical +1 and -1 deltas of the column
+	score  []int    // per block: the value of its last row
+	peq    []uint64 // match masks, slot-major
+	slot   []int32  // symbol -> match-mask slot; all zero between calls
+	cols   []int32  // per symbol of b: its match-mask slot
 }
 
 // trimCommon strips the shared prefix and suffix of a and b. The
@@ -80,10 +91,29 @@ func (s *Scratch) Distance(a, b []jstoken.Symbol) int {
 }
 
 // DistanceWithin computes the Levenshtein distance between a and b if it is
-// at most maxDist, using a band of width 2·maxDist+1 around the diagonal.
-// If the true distance exceeds maxDist it returns (0, false). This runs in
-// O(maxDist · max(len)) time, which is what makes DBSCAN over thousands of
-// samples per partition tractable.
+// at most maxDist; if the true distance exceeds maxDist it returns
+// (0, false).
+//
+// It is Myers' bit-parallel algorithm in Hyyrö's edit-distance form, laid
+// out in 64-row blocks over the shorter sequence as edlib does, and
+// restricted to the diagonals an alignment of cost <= maxDist can touch:
+// a cell (i, j) lies on one only if its lower bounds from both ends,
+// |i-j| and |(m-i)-(n-j)|, sum to at most maxDist. That keeps about
+// maxDist+1 diagonals, so each symbol of b advances only the two or three
+// blocks that cover them: O(maxDist/64 · len) word operations.
+//
+// The cells outside those blocks are never computed. A block entering the
+// band at the bottom starts as a +1 staircase under the block above, and
+// the boundary above the first active block grows by 1 per column. Both
+// over-estimate the true values and the recurrence is monotone, so every
+// computed cell is at least its true distance. The cells of an optimal
+// alignment of cost <= maxDist all lie inside the band, so they are
+// exact. Hence the result is exact whenever it is within maxDist, and
+// above maxDist otherwise.
+//
+// The same argument lets the loop stop early: once no computed cell of a
+// column can still reach (m, n) within maxDist, the optimal alignment's
+// cell in that column cannot either.
 func (s *Scratch) DistanceWithin(a, b []jstoken.Symbol, maxDist int) (int, bool) {
 	if maxDist < 0 {
 		return 0, false
@@ -96,107 +126,149 @@ func (s *Scratch) DistanceWithin(a, b []jstoken.Symbol, maxDist int) (int, bool)
 		return 0, false
 	}
 	// Both trims drop the same count from each side, so a stays the
-	// shorter sequence and the length difference (≤ maxDist, just
+	// shorter sequence and the length difference (<= maxDist, just
 	// checked) is preserved.
 	a, b = trimCommon(a, b)
-	if len(a) == 0 {
-		return len(b), true
+	m, n := len(a), len(b)
+	if m == 0 {
+		return n, true
 	}
+	// The distance never exceeds n, so a larger bound only widens the band.
+	k := min2(maxDist, n)
+	// Row i of column j is in the band when its diagonal i-j lies in
+	// [dLo, dHi], i.e. |i-j| + |(m-n) - (i-j)| <= k, with m-n in [-k, 0].
+	delta := m - n
+	dLo := -((k - delta) / 2)
+	dHi := (k + delta) / 2
 
-	// inf is "unreachable" for banded cells. It is deliberately far below
-	// the integer ceiling: the branch-free inner loop adds to inf cells
-	// instead of guarding them, and each row grows a cell by at most 1, so
-	// inf + len(a) can never overflow (or dip below any real distance,
-	// which stays <= maxDist+1 per the early abandon).
-	const inf = int(^uint(0) >> 2)
-	width := 2*maxDist + 1
-	// One sentinel cell past the band: prev[width] reads as inf so the
-	// deletion source prev[k+1] needs no bounds branch at the band edge.
-	prev, curr := s.rows(width + 1)
-	prev[width], curr[width] = inf, inf
-	// Row i stores cells j in [i-maxDist, i+maxDist]; index k maps to
-	// j = i - maxDist + k.
-	for k := 0; k < width; k++ {
-		j := 0 - maxDist + k
-		if j >= 0 && j <= len(b) {
-			prev[k] = j
-		} else {
-			prev[k] = inf
-		}
-	}
-	for i := 1; i <= len(a); i++ {
-		rowMin := inf
-		ai := a[i-1]
-		// Active cells of this row: k with 0 <= j <= len(b). Cells outside
-		// are never read by later rows except the two adjacent to the
-		// active range, which are set to inf explicitly below.
-		kLo := 0
-		if maxDist > i {
-			kLo = maxDist - i // j >= 0
-		}
-		kHi := width
-		if over := i + maxDist - len(b); over > 0 {
-			kHi = width - over // j <= len(b)
-		}
-		left := inf // curr[k-1] of the previous active iteration
-		k := kLo
-		if kLo > 0 {
-			curr[kLo-1] = inf
-		}
-		if i <= maxDist {
-			// j == 0 boundary cell, present at kLo while i <= maxDist.
-			curr[kLo] = i
-			rowMin = i
-			left = i
-			k = kLo + 1
-		}
-		// off maps k to the b index j-1 = i - maxDist + k - 1. Every k in
-		// [k, kHi) has j in [1, len(b)], so the whole active range reads a
-		// contiguous slice of b with no per-cell guards: inf cells take
-		// part in the min like any other value and simply never win.
-		off := i - maxDist - 1
-		for ; k < kHi; k++ {
-			// Substitution / match: prev row, same k. b2i compiles to a
-			// flag set, not a branch.
-			d := prev[k] + b2i(ai != b[off+k])
-			// Deletion from a: prev row, k+1 (same j; sentinel at the
-			// band edge). Insertion into a: current row, k-1 (j-1). Both
-			// mins compile to conditional moves.
-			if v := prev[k+1] + 1; v < d {
-				d = v
-			}
-			if v := left + 1; v < d {
-				d = v
-			}
-			curr[k] = d
-			left = d
-			if d < rowMin {
-				rowMin = d
+	blocks := (m + 63) >> 6
+	peq, cols := s.matchMasks(a, b, blocks)
+	pv, mv, score := s.blockState(blocks)
+	// The active blocks are [first, last]; top is the value of row
+	// 64·first, the boundary above the first of them, in column j.
+	first, last, top := 0, -1, 0
+	for j := 1; j <= n; j++ {
+		for last < (min2(m, j+dHi)-1)>>6 {
+			last++
+			pv[last], mv[last] = ^uint64(0), 0
+			score[last] = 64
+			if last > 0 {
+				score[last] += score[last-1]
 			}
 		}
-		if kHi < width {
-			curr[kHi] = inf
+		for first < (max2(1, j+dLo)-1)>>6 {
+			top = score[first]
+			first++
 		}
-		if rowMin > maxDist {
+		top++
+
+		eq := peq[int(cols[j-1])*blocks:]
+		// c is the row whose remaining lower bound |(m-i)-(n-j)| is 0.
+		c := j + delta
+		hin, above, lb := 1, top, k+1
+		for bi := first; bi <= last; bi++ {
+			// Myers' step in Hyyrö's form, as edlib writes it: pv and mv
+			// are the block's vertical +1 and -1 deltas, x the rows
+			// matching b[j-1], and hin the horizontal delta entering at
+			// the top (-1, 0 or +1); hin leaves as the delta at the bottom.
+			p, mm, x := pv[bi], mv[bi], eq[bi]
+			hinNeg := uint64(hin>>1) & 1
+			hinPos := uint64(hin+1) >> 1
+			xv := x | mm
+			x |= hinNeg
+			xh := (((x & p) + p) ^ p) | x
+			ph := mm | ^(xh | p)
+			mh := p & xh
+			hin = int(ph>>63) - int(mh>>63)
+			ph = ph<<1 | hinPos
+			mh = mh<<1 | hinNeg
+			pv[bi] = mh | ^(xv | ph)
+			mv[bi] = ph & xv
+			score[bi] += hin
+			// Rows lo..lo+64 step by at most 1 from above to score[bi],
+			// so none is below ceil((above+score[bi]-64)/2); add the
+			// remaining-distance bound of the row nearest c.
+			lo := bi << 6
+			v := (above + score[bi] - 63) >> 1
+			if c < lo {
+				v += lo - c
+			} else if c > lo+64 {
+				v += c - lo - 64
+			}
+			lb = min2(lb, v)
+			above = score[bi]
+		}
+		if lb > k {
 			return 0, false
 		}
-		prev, curr = curr, prev
 	}
-	s.prev, s.curr = prev[:cap(prev)], curr[:cap(curr)]
-	k := len(b) - len(a) + maxDist
-	if k < 0 || k >= width || prev[k] > maxDist {
+	// Row m is the last real row of the last block; the padding rows
+	// below it are backed out of the block's score.
+	d := score[blocks-1]
+	if pad := blocks<<6 - m; pad > 0 {
+		mask := ^uint64(0) << (64 - pad)
+		d -= bits.OnesCount64(pv[blocks-1]&mask) - bits.OnesCount64(mv[blocks-1]&mask)
+	}
+	if d > k {
 		return 0, false
 	}
-	return prev[k], true
+	return d, true
 }
 
-// b2i converts a bool to 0 or 1 without a branch (the compiler emits a
-// flag-set instruction for this form).
-func b2i(v bool) int {
-	if v {
-		return 1
+// matchMasks builds the match masks of the pattern a — bit r of
+// peq[slot·blocks+bi] is set when a[64·bi+r] is slot's symbol — and maps
+// each symbol of b to its slot. Slot 0 is the all-zero mask of the
+// symbols a lacks. The symbol table is sized to the largest symbol seen
+// and is all zero between calls.
+func (s *Scratch) matchMasks(a, b []jstoken.Symbol, blocks int) (peq []uint64, cols []int32) {
+	maxSym := 0
+	for _, x := range a {
+		maxSym = max2(maxSym, int(x))
 	}
-	return 0
+	if len(s.slot) <= maxSym {
+		s.slot = make([]int32, maxSym+1)
+	}
+	slots := int32(1)
+	for _, x := range a {
+		if s.slot[x] == 0 {
+			s.slot[x] = slots
+			slots++
+		}
+	}
+	if size := int(slots) * blocks; cap(s.peq) < size {
+		s.peq = make([]uint64, size)
+	} else {
+		s.peq = s.peq[:size]
+		clear(s.peq)
+	}
+	for i, x := range a {
+		s.peq[int(s.slot[x])*blocks+i>>6] |= 1 << (i & 63)
+	}
+	if cap(s.cols) < len(b) {
+		s.cols = make([]int32, len(b))
+	}
+	cols = s.cols[:len(b)]
+	for j, x := range b {
+		cols[j] = 0
+		if int(x) < len(s.slot) {
+			cols[j] = s.slot[x]
+		}
+	}
+	for _, x := range a {
+		s.slot[x] = 0
+	}
+	return s.peq, cols
+}
+
+// blockState returns the per-block vertical deltas and last-row values,
+// with room for blocks entries each and uninitialized.
+func (s *Scratch) blockState(blocks int) (pv, mv []uint64, score []int) {
+	if cap(s.pv) < blocks {
+		s.pv = make([]uint64, blocks)
+		s.mv = make([]uint64, blocks)
+		s.score = make([]int, blocks)
+	}
+	return s.pv[:blocks], s.mv[:blocks], s.score[:blocks]
 }
 
 // Normalized returns the edit distance between a and b divided by the

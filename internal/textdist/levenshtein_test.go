@@ -2,6 +2,7 @@ package textdist
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -292,7 +293,10 @@ func TestScratchAllocFree(t *testing.T) {
 }
 
 // BenchmarkDistanceWithin contrasts the allocating and scratch-reusing
-// forms of the clustering hot path.
+// forms of the clustering hot path, and times the scratch form at
+// compile-cold's sizes: a 660-symbol sequence against a junk-edited copy
+// of it at bound 73 (within), and against an unrelated sequence (early
+// rejection).
 func BenchmarkDistanceWithin(b *testing.B) {
 	rng := rand.New(rand.NewSource(9))
 	x, y := randSeq(rng, 400), randSeq(rng, 405)
@@ -309,14 +313,33 @@ func BenchmarkDistanceWithin(b *testing.B) {
 			s.DistanceWithin(x, y, 40)
 		}
 	})
+	long := randSeq(rng, 660)
+	edited := append([]jstoken.Symbol(nil), long...)
+	for i := 0; i < 12; i++ {
+		// A junk statement: five symbols inserted between statements.
+		p := 20 + rng.Intn(len(edited)-40)
+		edited = append(edited[:p], append(randSeq(rng, 5), edited[p:]...)...)
+	}
+	unrelated := randSeq(rng, 680)
+	for _, bc := range []struct {
+		name string
+		y    []jstoken.Symbol
+	}{{"near660", edited}, {"far660", unrelated}} {
+		b.Run(bc.name, func(b *testing.B) {
+			var s Scratch
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s.DistanceWithin(long, bc.y, 73)
+			}
+		})
+	}
 }
 
-// referenceDistanceWithin is the pre-block-form banded implementation,
-// kept verbatim as the scalar reference: per-cell inf guards, a bounds
-// branch at the band edge, and a branchy three-way min. The rewritten
-// inner loop (contiguous active slice, sentinel cell, branch-free min3)
-// must reproduce it cell for cell; TestDistanceWithinMatchesReference
-// pins that equivalence on the full (distance, ok) contract.
+// referenceDistanceWithin is a scalar banded dynamic program — a band of
+// 2·maxDist+1 cells per row, per-cell inf guards, abandoned when a row's
+// minimum exceeds maxDist — kept as the reference the bit-parallel
+// DistanceWithin must reproduce on the full (distance, ok) contract
+// (TestDistanceWithinMatchesReference).
 func referenceDistanceWithin(s *Scratch, a, b []jstoken.Symbol, maxDist int) (int, bool) {
 	if maxDist < 0 {
 		return 0, false
@@ -405,10 +428,10 @@ func referenceDistanceWithin(s *Scratch, a, b []jstoken.Symbol, maxDist int) (in
 	return prev[k], true
 }
 
-// TestDistanceWithinMatchesReference pins the flat inner loop against the
-// scalar reference across random near-duplicate pairs, every bound from 0
-// to beyond the true distance, and the degenerate shapes (empty, equal,
-// single-symbol, maximal junk).
+// TestDistanceWithinMatchesReference pins the bit-parallel kernel against
+// the scalar reference across random near-duplicate pairs, every bound
+// from 0 to beyond the true distance, the degenerate shapes (empty,
+// equal, single-symbol, maximal junk), and compile-cold's sizes.
 func TestDistanceWithinMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(4242))
 	randSeq := func(n int) []jstoken.Symbol {
@@ -458,4 +481,78 @@ func TestDistanceWithinMatchesReference(t *testing.T) {
 	check(nil, nil, 0)
 	check(nil, syms(1, 2, 3), 3)
 	check(syms(1), syms(2), 1)
+
+	// Compile-cold's sizes: about 660 symbols after trimming, compared at
+	// bound 0.10·len. Lengths 60–1,200 with bounds up to 0.15·len span
+	// several 64-row blocks; the pattern lengths 63, 64, 65, 128 and 129
+	// sit on block edges. pair gives the pattern (the shorter side) exactly
+	// n symbols after trimming: its ends differ from the other side's.
+	pair := func(n, edits int) ([]jstoken.Symbol, []jstoken.Symbol) {
+		a := randSeq(n)
+		b := mutate(a[1:n-1], edits)
+		for len(b) < n-2 {
+			b = append(b, jstoken.Symbol(rng.Intn(7)+1))
+		}
+		a[0], a[n-1] = 8, 9
+		b = append(append([]jstoken.Symbol{10}, b...), 11)
+		return a, b
+	}
+	long := func(n int) {
+		bound := n * 15 / 100
+		a, b := pair(n, rng.Intn(bound+1))
+		d := Distance(a, b)
+		for _, maxDist := range []int{0, rng.Intn(bound + 1), bound, d - 1, d, d + 1} {
+			if maxDist >= 0 {
+				check(a, b, maxDist)
+				check(b, a, maxDist)
+			}
+		}
+		// An unrelated pair of about the same length.
+		check(a, randSeq(n+rng.Intn(bound+1)), bound)
+	}
+	for _, n := range []int{63, 64, 65, 128, 129} {
+		for trial := 0; trial < 10; trial++ {
+			long(n)
+		}
+	}
+	for trial := 0; trial < 40; trial++ {
+		long(60 + rng.Intn(1141))
+	}
+}
+
+// FuzzDistanceWithin pins DistanceWithin to the full dynamic program for
+// any pair and any bound: the exact distance when it is within the bound,
+// a rejection otherwise. Bytes are symbols, so the seeds cover tiny
+// alphabets, block-edge lengths and unrelated pairs.
+func FuzzDistanceWithin(f *testing.F) {
+	rep := func(s string, n int) []byte { return []byte(strings.Repeat(s, n)) }
+	f.Add([]byte(""), []byte(""), 0)
+	f.Add([]byte("kitten"), []byte("sitting"), 3)
+	f.Add([]byte("kitten"), []byte("sitting"), 2)
+	f.Add([]byte("abc"), []byte(""), -1)
+	f.Add(rep("a", 64), rep("a", 65), 1)
+	f.Add(rep("ab", 32), rep("ba", 32), 2)
+	f.Add(rep("abcab", 13), rep("abcba", 13), 9)
+	f.Add(rep("xyz", 43), rep("xzy", 43)[3:], 19)
+	f.Add(rep("abcd", 165), rep("abdc", 170), 99)
+	f.Add(rep("qwerty", 110), rep("asdfgh", 110), 99)
+	var s Scratch
+	f.Fuzz(func(t *testing.T, x, y []byte, maxDist int) {
+		if len(x) > 1200 || len(y) > 1200 {
+			return
+		}
+		a, b := make([]jstoken.Symbol, len(x)), make([]jstoken.Symbol, len(y))
+		for i, c := range x {
+			a[i] = jstoken.Symbol(c)
+		}
+		for i, c := range y {
+			b[i] = jstoken.Symbol(c)
+		}
+		want := Distance(a, b)
+		got, ok := s.DistanceWithin(a, b, maxDist)
+		if ok != (maxDist >= 0 && want <= maxDist) || (ok && got != want) {
+			t.Fatalf("DistanceWithin(len %d, len %d, %d) = (%d, %v), distance %d",
+				len(a), len(b), maxDist, got, ok, want)
+		}
+	})
 }
