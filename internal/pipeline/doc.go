@@ -18,7 +18,7 @@
 //     fills — a shard fleet clusters while the host still lexes the tail;
 //   - cluster + pre-reduce: weighted DBSCAN per partition over the
 //     allocation-free bit-parallel bounded edit-distance kernel
-//     (textdist.Scratch, pooled per worker, + frequency lower bounds),
+//     (textdist.Scratch per worker + frequency lower bounds),
 //     then PreReducePartition compacts the
 //     result (representative merge + local noise fold). The dominant
 //     cold-path cost and the stage that scales horizontally:

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"sort"
 	"strconv"
-	"sync"
 
 	"kizzle/internal/contentcache"
 	"kizzle/internal/dbscan"
@@ -29,9 +28,8 @@ import (
 //   - symmetric evaluation — each unordered pair is tested at most once;
 //
 //   - parallel evaluation across workers, each with its own reusable
-//     textdist.Scratch from a pool shared across calls, so the distance
-//     stage does not allocate and large partitions no longer serialize on
-//     one goroutine.
+//     textdist.Scratch, so the distance stage does not allocate and large
+//     partitions no longer serialize on one goroutine.
 //
 //   - a cross-run verdict cache: each within-eps decision is
 //     content-addressed by the pair's sequence identities (two
@@ -79,32 +77,11 @@ func neighborGraph(seqs [][]jstoken.Symbol, ids []seqID, cache *contentcache.Cac
 		}
 		return order[lo:hi]
 	}
-	scratches := getScratches(workers)
-	defer putScratches(scratches)
+	scratches := make([]textdist.Scratch, workers)
 	within := func(worker, a, b int) bool {
-		return pairWithin(seqs, ids, cache, idx[a], idx[b], h.at(a), h.at(b), eps, scratches[worker])
+		return pairWithin(seqs, ids, cache, idx[a], idx[b], h.at(a), h.at(b), eps, &scratches[worker])
 	}
 	return dbscan.PrecomputeNeighbors(n, workers, candidates, within)
-}
-
-// scratchPool recycles the distance kernel's per-worker scratches across
-// neighborGraph and sweepPairs calls: a compile runs one call per
-// partition and per edge job, and each would otherwise regrow the
-// kernel's block state and symbol table.
-var scratchPool = sync.Pool{New: func() any { return new(textdist.Scratch) }}
-
-func getScratches(n int) []*textdist.Scratch {
-	out := make([]*textdist.Scratch, n)
-	for i := range out {
-		out[i] = scratchPool.Get().(*textdist.Scratch)
-	}
-	return out
-}
-
-func putScratches(scratches []*textdist.Scratch) {
-	for _, s := range scratches {
-		scratchPool.Put(s)
-	}
 }
 
 // sweepPairs evaluates within-eps pair tests with the same pruning kernel
@@ -163,8 +140,7 @@ func sweepPairs(seqs [][]jstoken.Symbol, ids []seqID, cache *contentcache.Cache,
 		sortedLens[k] = len(seqs[targets[pos]])
 	}
 
-	scratches := getScratches(workers)
-	defer putScratches(scratches)
+	scratches := make([]textdist.Scratch, workers)
 	perRow := make([][][2]int, len(rows))
 	parallel.ForEach(len(rows), workers, 1, func(worker, ri int) {
 		rowSeq := seqs[rows[ri]]
@@ -179,7 +155,7 @@ func sweepPairs(seqs [][]jstoken.Symbol, ids []seqID, cache *contentcache.Cache,
 				continue
 			}
 			if !pairWithin(seqs, ids, cache, rows[ri], targets[tj],
-				rowHist(ri), targetHist(tj), eps, scratches[worker]) {
+				rowHist(ri), targetHist(tj), eps, &scratches[worker]) {
 				continue
 			}
 			hits = append(hits, [2]int{ri, tj})
