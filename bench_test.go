@@ -7,9 +7,7 @@ package kizzle_test
 
 import (
 	"fmt"
-	"strings"
 	"testing"
-	"time"
 
 	"kizzle"
 	"kizzle/internal/contentcache"
@@ -472,24 +470,17 @@ func BenchmarkPipelineDayOverDay(b *testing.B) {
 	})
 }
 
-// BenchmarkPipelineSharded measures horizontal scaling of the clustering
-// AND reduce stages through the shard coordinator: N loopback workers,
-// each pinned to one goroutine (modeling one machine of the paper's
-// 50-machine layout), with the coordinator's own stages also
-// single-threaded so any speedup comes from distribution alone. The full
-// distributed path runs — JSON marshalling, the worker HTTP handler,
-// response decoding — minus only the sockets. Partitions are dispatched
-// as dedup emits them and the reduce's distance sweeps fan out to the
-// fleet as edge jobs (the one dispatch mode, named mode=stream).
-//
-// Work units are dispatched sequentially while the coordinator simulates
-// the fleet schedule (arrival-aware earliest-free-shard assignment with a
-// barrier per reduce wave), so the modeled critical path — the wall-clock
-// an N-machine fleet would need for clustering + reduce — is undistorted
-// by CPU time-slicing on a small host; ns/op stays the single-host
-// wall-clock. fleet-critical-us is that model: the schedule makespan
-// (arrivals overlapped, edge waves fleet-wide) plus the coordinator's
-// serial reduce residue.
+// BenchmarkPipelineSharded runs the clustering AND reduce stages through
+// the shard coordinator: N loopback workers, each pinned to one goroutine
+// (one machine of the paper's 50-machine layout), with the coordinator's
+// own stages also single-threaded. The full distributed path runs — JSON
+// marshalling, the worker HTTP handler, response decoding — minus only
+// the sockets. Partitions are dispatched as dedup emits them and the
+// reduce's distance sweeps fan out to the fleet as edge jobs (the one
+// dispatch mode, named mode=stream), through the coordinator's concurrent
+// pull queue. Every reported number is measured: ns/op is the single-host
+// wall-clock, so on a host with fewer cores than shards it shows the cost
+// of distribution, not a fleet's speedup.
 //
 // Caches are cold every iteration — the honest daily-batch regime, in
 // which the reduce's distance sweeps, not the partition clustering, are
@@ -529,7 +520,6 @@ func BenchmarkPipelineSharded(b *testing.B) {
 	for _, fam := range ekit.Families {
 		corpus.Add(fam.String(), ekit.Payload(fam, day-1))
 	}
-	criticalBy := make(map[string]time.Duration)
 	for _, shards := range []int{1, 2, 4, 8, 16} {
 		b.Run(fmt.Sprintf("mode=stream/shards=%d", shards), func(b *testing.B) {
 			workers := make([]*shardcoord.Worker, shards)
@@ -538,15 +528,11 @@ func BenchmarkPipelineSharded(b *testing.B) {
 					shardcoord.WithWorkerParallelism(1),
 					shardcoord.WithWorkerResidentBudget(64<<20))
 			}
-			coord := shardcoord.NewCoordinator(shardcoord.NewLoopback(workers),
-				shardcoord.WithSequentialDispatch())
 			pcfg := pipeline.DefaultConfig()
 			pcfg.Workers = 1
 			pcfg.PartitionSize = 12 // many small partitions so the shared queue balances
-			pcfg.Clusterer = coord
-			coord.ScheduleTotals() // reset
+			pcfg.Clusterer = shardcoord.NewCoordinator(shardcoord.NewLoopback(workers))
 			var stats pipeline.Stats
-			var serial time.Duration
 			b.SetBytes(bytes)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -556,19 +542,7 @@ func BenchmarkPipelineSharded(b *testing.B) {
 					b.Fatal(err)
 				}
 				stats = res.Stats
-				// Arrivals and edge waves are inside the schedule model;
-				// only the reduce residue is serial.
-				serial += res.Stats.Reduce - res.Stats.ReduceDispatch
 			}
-			b.StopTimer()
-			sched := coord.ScheduleTotals()
-			critical := (sched.Makespan + serial) / time.Duration(b.N)
-			criticalBy[b.Name()] = critical
-			b.ReportMetric(float64(critical.Microseconds()), "fleet-critical-us")
-			if base, ok := criticalBy[strings.Replace(b.Name(), "shards="+fmt.Sprint(shards), "shards=1", 1)]; ok && critical > 0 {
-				b.ReportMetric(float64(base)/float64(critical), "sharded-speedup")
-			}
-			b.ReportMetric(float64(sched.EdgeUnits)/float64(b.N), "edge-jobs")
 			b.ReportMetric(float64(stats.UniqueSequences), "uniques")
 			b.ReportMetric(float64(stats.Partitions), "partitions")
 			b.ReportMetric(float64(stats.WireBytes)/1e6, "wire-mb")

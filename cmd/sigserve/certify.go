@@ -35,17 +35,15 @@ import (
 var errQuarantined = errors.New("publish quarantined: certification paths disagreed")
 
 // pathSpec describes one compile execution path. The zero value is the
-// plain in-process path. Output-sensitive knobs (partition fanout) must be
-// identical across the primary and verification specs — they change the
-// compiled set by design, not by defect — while every output-invariant
-// knob (mode, schedule seed) is fair game for diversity.
+// plain in-process path. Output-sensitive knobs (the ingest profiles)
+// must be identical across the primary and verification specs — they
+// change the compiled set by design, not by defect — while every
+// output-invariant knob (mode, schedule seed) is fair game for diversity.
 type pathSpec struct {
 	shardURLs []string
-	fanout    int
 	seed      int64
 	// profiles lists the ingest workloads this path compiles (empty means
-	// the default JS workload). Like fanout it is output-sensitive and
-	// identical across primary and verification specs.
+	// the default JS workload).
 	profiles []string
 }
 
@@ -81,9 +79,6 @@ func (p pathSpec) options() []kizzle.Option {
 	if len(p.shardURLs) > 0 {
 		opts = append(opts, kizzle.WithShardWorkers(p.shardURLs...))
 	}
-	if p.fanout > 0 {
-		opts = append(opts, kizzle.WithPartitionFanout(p.fanout))
-	}
 	if p.seed != 0 {
 		opts = append(opts, kizzle.WithScheduleSeed(p.seed))
 	}
@@ -110,7 +105,7 @@ type certConfig struct {
 }
 
 // verifyPathSpec derives the verification path from the primary: permute
-// the schedule while pinning the output-sensitive fanout. mode selects
+// the schedule while pinning the output-sensitive profiles. mode selects
 // where the verifier runs: "inprocess" (the strongest diversity against
 // a misbehaving fleet: no worker touches the second compile, and the
 // seed reorders the reduce sweeps of an in-process primary) or "fleet"
@@ -118,7 +113,7 @@ type certConfig struct {
 // and edge-job composition, so no worker sees the same units in the same
 // role twice).
 func verifyPathSpec(primary pathSpec, mode string, seed int64) (pathSpec, error) {
-	v := pathSpec{fanout: primary.fanout, seed: seed, profiles: primary.profiles}
+	v := pathSpec{seed: seed, profiles: primary.profiles}
 	switch mode {
 	case "inprocess":
 	case "fleet":

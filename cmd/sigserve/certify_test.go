@@ -109,16 +109,15 @@ func TestCertificationDifferential(t *testing.T) {
 }
 
 // TestVerifyPathSpec pins the flag-level derivation of the verification
-// path from the primary: the seed always applies, fanout
-// (output-sensitive) is always pinned, fleet mode requires shards and
-// reuses them, and unknown modes are rejected.
+// path from the primary: the seed always applies, fleet mode requires
+// shards and reuses them, and unknown modes are rejected.
 func TestVerifyPathSpec(t *testing.T) {
-	fleet := pathSpec{shardURLs: []string{"http://a", "http://b"}, fanout: 3}
+	fleet := pathSpec{shardURLs: []string{"http://a", "http://b"}}
 	v, err := verifyPathSpec(fleet, "inprocess", 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.mode() != "in-process" || v.fanout != 3 || v.seed != 7 {
+	if v.mode() != "in-process" || v.seed != 7 {
 		t.Errorf("inprocess verify spec = %+v", v)
 	}
 	if got := v.descriptor().String(); got != "in-process/stream/seed=7" {
@@ -129,7 +128,7 @@ func TestVerifyPathSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v.mode() != "fleet" || len(v.shardURLs) != 2 || v.fanout != 3 || v.seed != 7 {
+	if v.mode() != "fleet" || len(v.shardURLs) != 2 || v.seed != 7 {
 		t.Errorf("fleet verify spec = %+v", v)
 	}
 	if got := v.descriptor().String(); got != "fleet/2/stream/affinity/seed=7" {

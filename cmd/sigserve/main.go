@@ -23,7 +23,7 @@
 //	sigserve -store sigs.json -listen :9090 \
 //	         [-samples corpus/ -known known/ -recompile 1h] \
 //	         [-shards http://shard-0:9191,http://shard-1:9191] \
-//	         [-fanout 8] [-cachedir cache/]
+//	         [-cachedir cache/]
 package main
 
 import (
@@ -70,7 +70,6 @@ func run(args []string, ready chan<- http.Handler) error {
 	knownDir := fs.String("known", "", "directory of known unpacked payloads (required with -samples)")
 	recompile := fs.Duration("recompile", time.Hour, "recompilation interval")
 	shards := fs.String("shards", "", "comma-separated kizzleshard worker base URLs to cluster on (empty = in-process)")
-	fanout := fs.Int("fanout", 0, "streaming partition fanout (0 = default)")
 	cacheDir := fs.String("cachedir", "", "persist the compiler's content cache here across restarts")
 	profileFlag := fs.String("profile", "js", "comma-separated ingest profiles to compile (e.g. js,webkit); with several, -samples/-known/-cachedir hold one subdirectory per profile and non-js families publish namespaced (profile/family)")
 	yaraPath := fs.String("yara", "", "write every changed publish as a YARA ruleset to this file (requires -samples)")
@@ -89,11 +88,8 @@ func run(args []string, ready chan<- http.Handler) error {
 	if *samplesDir != "" && *knownDir == "" {
 		return fmt.Errorf("-known is required with -samples")
 	}
-	if *samplesDir == "" && (*shards != "" || *cacheDir != "" || *fanout != 0) {
-		return fmt.Errorf("-shards/-fanout/-cachedir require -samples")
-	}
-	if *fanout < 0 {
-		return fmt.Errorf("-fanout %d must be >= 0", *fanout)
+	if *samplesDir == "" && (*shards != "" || *cacheDir != "") {
+		return fmt.Errorf("-shards/-cachedir require -samples")
 	}
 	if *certify && *samplesDir == "" {
 		return fmt.Errorf("-certify requires -samples")
@@ -127,7 +123,7 @@ func run(args []string, ready chan<- http.Handler) error {
 
 	var pub *publisher
 	if *samplesDir != "" {
-		primary := pathSpec{shardURLs: shardURLs, fanout: *fanout, profiles: profiles}
+		primary := pathSpec{shardURLs: shardURLs, profiles: profiles}
 		var cert *certConfig
 		if *certify {
 			vspec, err := verifyPathSpec(primary, *certVerify, *certSeed)

@@ -6,6 +6,12 @@
 // with a deployed signature set and blocks exploit-kit landings; the
 // Vetter is the CDN-side admission check for uploads.
 //
+// The Proxy scans what the browser renders. It drops the client's
+// Accept-Encoding, so its transport negotiates gzip and hands the scan
+// the decoded body; a scannable response that still carries another
+// content coding cannot be scanned, so it is answered 502 and counted
+// (Proxy.Metrics "encoded"), never admitted.
+//
 // The serving hot path is built for provider load. Response bodies move
 // as []byte through pooled buffers into the one Scanner interface
 // (Vetter.VetBytes → Scanner.ScanBytes) — a vetted-and-passed response

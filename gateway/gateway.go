@@ -172,12 +172,21 @@ type Proxy struct {
 	MaxScanBytes int64
 
 	oversized atomic.Int64
+	encoded   atomic.Int64
 }
 
 // NewProxy builds a scanning reverse proxy in front of upstream.
 func NewProxy(upstream *url.URL, vetter *Vetter) *Proxy {
 	p := &Proxy{vetter: vetter, MaxScanBytes: DefaultMaxScanBytes}
 	rp := httputil.NewSingleHostReverseProxy(upstream)
+	director := rp.Director
+	rp.Director = func(r *http.Request) {
+		director(r)
+		// Scan what the browser renders: without the client's
+		// Accept-Encoding the transport negotiates gzip itself and hands
+		// modifyResponse the decoded body.
+		r.Header.Del("Accept-Encoding")
+	}
 	rp.ModifyResponse = p.modifyResponse
 	p.proxy = rp
 	return p
@@ -191,9 +200,10 @@ func NewProxy(upstream *url.URL, vetter *Vetter) *Proxy {
 func (p *Proxy) UseAdmitter(a *Admitter) { p.admit = a }
 
 // Metrics returns the proxy's /metrics fields: the scannable responses
-// passed through unscanned because they exceeded MaxScanBytes.
+// passed through unscanned because they exceeded MaxScanBytes, and those
+// refused with 502 because they still carried a content coding.
 func (p *Proxy) Metrics() map[string]any {
-	return map[string]any{"oversized": p.oversized.Load()}
+	return map[string]any{"oversized": p.oversized.Load(), "encoded": p.encoded.Load()}
 }
 
 var _ http.Handler = (*Proxy)(nil)
@@ -264,8 +274,41 @@ func (pb *pooledBody) Close() error {
 	return nil
 }
 
+// contentEncoded reports whether a response body still carries a content
+// coding other than identity.
+func contentEncoded(h http.Header) bool {
+	for _, v := range h.Values("Content-Encoding") {
+		for _, c := range strings.Split(v, ",") {
+			if c = strings.TrimSpace(c); c != "" && !strings.EqualFold(c, "identity") {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// replaceResponse swaps resp for a plain-text answer with the given
+// status.
+func replaceResponse(resp *http.Response, status int, text string) {
+	resp.StatusCode = status
+	resp.Status = http.StatusText(status)
+	resp.Header = http.Header{"Content-Type": {"text/plain; charset=utf-8"}}
+	resp.Body = io.NopCloser(strings.NewReader(text))
+	resp.ContentLength = int64(len(text))
+}
+
 func (p *Proxy) modifyResponse(resp *http.Response) error {
 	if !scannable(resp.Header.Get("Content-Type")) {
+		return nil
+	}
+	if resp.ContentLength != 0 && contentEncoded(resp.Header) {
+		// The transport decodes the gzip it asked for; any other coding (an
+		// unsolicited br, deflate or zstd body) cannot be scanned, so it is
+		// never admitted. Bodiless answers (HEAD, 204, 304) have nothing
+		// to scan and pass.
+		p.encoded.Add(1)
+		resp.Body.Close()
+		replaceResponse(resp, http.StatusBadGateway, "kizzle: cannot scan a content-encoded response\n")
 		return nil
 	}
 	if resp.ContentLength > p.MaxScanBytes {
@@ -306,12 +349,7 @@ func (p *Proxy) modifyResponse(resp *http.Response) error {
 	}
 	if d.Blocked {
 		bodyPool.Put(bp)
-		blocked := fmt.Sprintf("blocked by kizzle: %s exploit kit detected\n", d.Family)
-		resp.StatusCode = http.StatusForbidden
-		resp.Status = http.StatusText(http.StatusForbidden)
-		resp.Header = http.Header{"Content-Type": {"text/plain; charset=utf-8"}}
-		resp.Body = io.NopCloser(strings.NewReader(blocked))
-		resp.ContentLength = int64(len(blocked))
+		replaceResponse(resp, http.StatusForbidden, fmt.Sprintf("blocked by kizzle: %s exploit kit detected\n", d.Family))
 		return nil
 	}
 	resp.Body = &pooledBody{Reader: bytes.NewReader(body), buf: bp}

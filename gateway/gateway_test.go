@@ -1,10 +1,12 @@
 package gateway
 
 import (
+	"compress/gzip"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -201,6 +203,88 @@ func TestProxyBlocksKitServesBenign(t *testing.T) {
 	}
 	if code, _ := get("/logo.png"); code != http.StatusOK {
 		t.Errorf("image passthrough: status %d", code)
+	}
+}
+
+// TestProxyScansDecodedBody pins that the proxy scans what the browser
+// renders, whatever the client advertises: a gzipped kit landing is
+// blocked, a gzipped benign page arrives decoded, and a body in a coding
+// the proxy cannot decode (an unsolicited br) is refused and counted. A
+// bodiless 304 that names a coding passes untouched.
+func TestProxyScansDecodedBody(t *testing.T) {
+	day := synth.Date(time.August, 5)
+	kit := kitDoc(t, day)
+	benign := `<html><body><script>var x = document.title;</script></body></html>`
+
+	upstream := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/html")
+		switch r.URL.Path {
+		case "/br.html":
+			w.Header().Set("Content-Encoding", "br")
+			w.Write([]byte{0x1b, 0x03, 0x00, 0xf8})
+			return
+		case "/cached.html":
+			w.Header().Set("Content-Encoding", "gzip")
+			w.WriteHeader(http.StatusNotModified)
+			return
+		}
+		page := benign
+		if r.URL.Path == "/landing" {
+			page = kit
+		}
+		if !strings.Contains(r.Header.Get("Accept-Encoding"), "gzip") {
+			io.WriteString(w, page)
+			return
+		}
+		w.Header().Set("Content-Encoding", "gzip")
+		zw := gzip.NewWriter(w)
+		io.WriteString(zw, page)
+		zw.Close()
+	}))
+	defer upstream.Close()
+
+	target, err := url.Parse(upstream.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewProxy(target, NewVetter(buildMatcher(t, day)))
+	front := httptest.NewServer(p)
+	defer front.Close()
+
+	get := func(path string) (int, string) {
+		req, err := http.NewRequest(http.MethodGet, front.URL+path, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A browser's header: set explicitly, so the client does not
+		// decode either, and the test sees exactly what the proxy sent.
+		req.Header.Set("Accept-Encoding", "gzip, deflate, br")
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+
+	if code, body := get("/landing"); code != http.StatusForbidden {
+		t.Errorf("gzipped kit landing: status %d body %.60q, want 403", code, body)
+	}
+	if code, body := get("/index.html"); code != http.StatusOK || body != benign {
+		t.Errorf("gzipped benign page: status %d body %.60q, want 200 with the decoded page", code, body)
+	}
+	if code, _ := get("/br.html"); code != http.StatusBadGateway {
+		t.Errorf("unsolicited br body: status %d, want 502", code)
+	}
+	if code, _ := get("/cached.html"); code != http.StatusNotModified {
+		t.Errorf("bodiless 304: status %d, want 304", code)
+	}
+	if n := p.Metrics()["encoded"]; n != int64(1) {
+		t.Errorf("encoded counter = %v, want 1", n)
 	}
 }
 

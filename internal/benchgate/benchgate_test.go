@@ -12,7 +12,7 @@ cpu: Intel(R) Xeon(R) Processor @ 2.10GHz
 BenchmarkScan-4             20000             59000 ns/op          12 B/op           1 allocs/op
 BenchmarkScan-4             20000             61000 ns/op
 BenchmarkScan-4             20000             57000 ns/op
-BenchmarkPipelineSharded/mode=stream/shards=4          1        445000000 ns/op   445095 fleet-critical-us
+BenchmarkPipelineSharded/mode=stream/shards=4          1        445000000 ns/op   320 uniques
 PASS
 ok      kizzle  10.9s
 `
@@ -32,7 +32,7 @@ func TestParseAndAggregate(t *testing.T) {
 	if e := agg["BenchmarkPipelineSharded/mode=stream/shards=4"]; e.NsPerOp != 445000000 {
 		t.Fatalf("sub-benchmark entry = %+v", e)
 	}
-	if e := agg["BenchmarkPipelineSharded/mode=stream/shards=4"]; e.Metrics["fleet-critical-us"] != 445095 {
+	if e := agg["BenchmarkPipelineSharded/mode=stream/shards=4"]; e.Metrics["uniques"] != 320 {
 		t.Fatalf("custom metric not captured: %+v", e.Metrics)
 	}
 	if e := agg["BenchmarkScan"]; e.Metrics != nil {

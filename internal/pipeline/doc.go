@@ -23,7 +23,7 @@
 //     result (representative merge + local noise fold). The dominant
 //     cold-path cost and the stage that scales horizontally:
 //     Config.Clusterer dispatches work units to shard workers
-//     (internal/shardcoord), bit-identically;
+//     (internal/shardcoord, one concurrent pull queue), bit-identically;
 //   - hierarchical reduce: union-find merge over the summaries'
 //     representatives, noise re-cluster, straggler adoption — the step
 //     the paper calls the serial bottleneck. Its three distance sweeps
@@ -46,5 +46,6 @@
 // GOMAXPROCS.
 // Caching, sharding, and the schedule (Config.ScheduleSeed permutes the
 // reduce sweeps and the fleet's shard assignment) are pinned by
-// differential tests to never change pipeline output.
+// differential tests to never change pipeline output. Stats reports
+// only measured quantities: per-stage wall-clock, counts and wire bytes.
 package pipeline

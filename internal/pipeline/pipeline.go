@@ -224,9 +224,6 @@ type Stats struct {
 	// costs one sweep per re-labeled payload, not a full corpus pass.
 	// Purely observational — sweep counts never affect labels.
 	LabelSweeps int
-	// EdgeJobs counts the reduce-step distance sweeps dispatched to shard
-	// workers as edge work units (zero for in-process runs).
-	EdgeJobs int
 	// WireBytes is what this run actually shipped to the shard fleet and
 	// got back — request plus response bodies of every successful
 	// /partition and /edges3 round trip. EdgeWireBytes is the /edges3
@@ -250,10 +247,6 @@ type Stats struct {
 	Reduce    time.Duration
 	Label     time.Duration
 	Signature time.Duration
-	// ReduceDispatch is the part of Reduce spent blocked on distance
-	// sweeps dispatched to the fleet (zero for in-process runs); Reduce
-	// minus ReduceDispatch is the coordinator's serial residue.
-	ReduceDispatch time.Duration
 }
 
 // Result is the output of one pipeline run.
@@ -346,7 +339,6 @@ func Process(inputs []Input, corpus *Corpus, cfg Config) (Result, error) {
 		return Result{}, fmt.Errorf("pipeline: reduce: %w", err)
 	}
 	res.Stats.Reduce = time.Since(start)
-	res.Stats.EdgeJobs, res.Stats.ReduceDispatch = sess.edgeStats()
 	res.Stats.NoisePoints = 0
 	for _, u := range remaining {
 		res.Stats.NoisePoints += len(uniq.members[u])

@@ -3,7 +3,6 @@ package pipeline
 import (
 	"fmt"
 	"strings"
-	"time"
 
 	"kizzle/internal/contentcache"
 	"testing"
@@ -262,13 +261,11 @@ type recordingSession struct {
 	emitted []emittedPartition
 }
 
-func (s *recordingSession) submitPartition(ep emittedPartition, _ time.Duration) {
+func (s *recordingSession) submitPartition(ep emittedPartition) {
 	s.emitted = append(s.emitted, ep)
 }
 func (s *recordingSession) collect(*uniqueSet) ([]summary, error)    { return nil, nil }
 func (s *recordingSession) edges(rows, cols []int) ([][2]int, error) { return nil, nil }
-func (s *recordingSession) edgeStats() (int, time.Duration)          { return 0, 0 }
-func (s *recordingSession) preReduceTime() time.Duration             { return 0 }
 func (s *recordingSession) close()                                   {}
 
 // TestStreamPartitioning pins the streaming emission contract: every

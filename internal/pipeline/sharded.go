@@ -205,26 +205,13 @@ func (p *PackedSeqs) UnmarshalJSON(data []byte) error {
 }
 
 // WorkUnit is one unit of clustering-stage work flowing from the pipeline
-// to a Clusterer. Exactly one of Partition and Edges is non-nil.
+// to a Clusterer. Exactly one of Partition and Edges is non-nil. A unit
+// carries only what its execution needs: its result is a pure function
+// of the unit, so no timing or scheduling metadata rides along.
 type WorkUnit struct {
 	// Seq numbers units within one stream, starting at 0; results are
 	// matched back by it.
 	Seq int
-	// Emitted is the host-time offset at which the unit became available.
-	// For partition units it is the coordinator's serial-work clock
-	// (time spent on its own work, excluding time blocked on the
-	// clusterer); profiling dispatchers use it to model what a real fleet
-	// would overlap. For edge units (Wave > 0) it is wall clock since the
-	// session opened — informational only: a reduce wave's arrival is
-	// governed by its Wave barrier, not Emitted, and profiling
-	// dispatchers must model it that way. Execution must not depend on
-	// this field.
-	Emitted int64
-	// Wave is 0 for partition units and increments for each reduce sweep;
-	// a wave only starts after every earlier unit's result is in.
-	// Profiling dispatchers model the barrier; execution must not depend
-	// on it.
-	Wave int
 	// Partition is a clustering partition work unit.
 	Partition *ShardPartition
 	// Edges is a distance-sweep work unit.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"kizzle/internal/contentcache"
 	"kizzle/internal/ingest"
@@ -42,18 +41,14 @@ type emittedPartition struct {
 // are submitted as dedup emits them, collect blocks until all partition
 // summaries are in, and edges serves the reduce step's distance sweeps.
 type clusterSession interface {
-	// submitPartition hands over one emitted partition. hostTime is the
-	// host's serial-work clock at emission (for profiling dispatchers).
-	submitPartition(ep emittedPartition, hostTime time.Duration)
+	// submitPartition hands over one emitted partition.
+	submitPartition(ep emittedPartition)
 	// collect returns one summary per submitted partition, in emission
 	// order, after every partition result arrived.
 	collect(u *uniqueSet) ([]summary, error)
 	// edges evaluates within-eps pairs over unique indices (the edgeFunc
 	// contract); valid after collect.
 	edges(rows, cols []int) ([][2]int, error)
-	// edgeStats reports how many edge work units were dispatched remotely
-	// and the wall time spent blocked on them.
-	edgeStats() (int, time.Duration)
 	// close releases session resources; no calls may follow.
 	close()
 }
@@ -162,7 +157,6 @@ func runClusterStage(inputs []Input, cfg Config, sess clusterSession) streamOutc
 		sess:     sess,
 		index:    make(map[uint64][]int),
 		hashMemo: make(map[*jstoken.Symbol]uint64),
-		start:    time.Now(),
 	}
 
 	total := len(groups)
@@ -211,8 +205,6 @@ type dedupEmitter struct {
 	next       int     // next buffer to receive a unique
 	emitWeight []int
 	partitions int
-	start      time.Time
-	blocked    time.Duration
 }
 
 func (d *dedupEmitter) insert(input int, seq []jstoken.Symbol) {
@@ -272,13 +264,7 @@ func (d *dedupEmitter) emit(b int) {
 		d.emitWeight[ui] = part.Weights[k]
 	}
 	d.partitions++
-	// The host-time stamp excludes time spent blocked on the session, so
-	// profiling dispatchers see when the unit would have been ready had
-	// dispatch been instantaneous.
-	hostTime := time.Since(d.start) - d.blocked
-	submitStart := time.Now()
-	d.sess.submitPartition(emittedPartition{part: part, uniques: pending}, hostTime)
-	d.blocked += time.Since(submitStart)
+	d.sess.submitPartition(emittedPartition{part: part, uniques: pending})
 }
 
 // flush emits every remaining non-empty buffer in order.
@@ -313,10 +299,10 @@ func newLocalStreamSession(cfg Config) *localStreamSession {
 	}
 }
 
-func (s *localStreamSession) submitPartition(ep emittedPartition, hostTime time.Duration) {
+func (s *localStreamSession) submitPartition(ep emittedPartition) {
 	s.emitted = append(s.emitted, ep)
 	part := ep.part
-	s.work <- WorkUnit{Seq: s.nextSeq, Emitted: int64(hostTime), Partition: &part}
+	s.work <- WorkUnit{Seq: s.nextSeq, Partition: &part}
 	s.nextSeq++
 }
 
@@ -330,8 +316,6 @@ func (s *localStreamSession) edges(rows, cols []int) ([][2]int, error) {
 	// shared parallel kernel; no work units are involved.
 	return localEdges(s.u, s.cfg, rows, cols)
 }
-
-func (s *localStreamSession) edgeStats() (int, time.Duration) { return 0, 0 }
 
 func (s *localStreamSession) close() {
 	close(s.work)
@@ -349,17 +333,13 @@ func localEdges(u *uniqueSet, cfg Config, rows, cols []int) ([][2]int, error) {
 // dedup emits them, and the reduce step's distance sweeps are fanned out
 // as edge jobs over the same stream.
 type streamSession struct {
-	cfg          Config
-	sc           Clusterer
-	u            *uniqueSet
-	work         chan WorkUnit
-	collected    *resultCollector
-	emitted      []emittedPartition
-	nextSeq      int
-	nEdgeJobs    int
-	wave         int
-	dispatchWall time.Duration
-	opened       time.Time
+	cfg       Config
+	sc        Clusterer
+	u         *uniqueSet
+	work      chan WorkUnit
+	collected *resultCollector
+	emitted   []emittedPartition
+	nextSeq   int
 	// keyOf memoizes each unique's content address: computed once when its
 	// partition is emitted, reused by every edge sweep that references it.
 	keyOf map[int]SeqKey
@@ -372,12 +352,11 @@ func newStreamSession(sc Clusterer, cfg Config) *streamSession {
 		sc:        sc,
 		work:      work,
 		collected: newResultCollector(sc.ClusterStream(work, cfg)),
-		opened:    time.Now(),
 		keyOf:     make(map[int]SeqKey),
 	}
 }
 
-func (s *streamSession) submitPartition(ep emittedPartition, hostTime time.Duration) {
+func (s *streamSession) submitPartition(ep emittedPartition) {
 	s.emitted = append(s.emitted, ep)
 	part := ep.part
 	// Content addresses ride along so the coordinator can record which
@@ -389,7 +368,7 @@ func (s *streamSession) submitPartition(ep emittedPartition, hostTime time.Durat
 		part.Keys[k] = key
 		s.keyOf[ui] = key
 	}
-	s.work <- WorkUnit{Seq: s.nextSeq, Emitted: int64(hostTime), Partition: &part}
+	s.work <- WorkUnit{Seq: s.nextSeq, Partition: &part}
 	s.nextSeq++
 }
 
@@ -420,21 +399,12 @@ func (s *streamSession) edges(rows, cols []int) ([][2]int, error) {
 	if len(rows) == 0 || (cols != nil && len(cols) == 0) {
 		return nil, nil
 	}
-	sweepStart := time.Now()
-	defer func() { s.dispatchWall += time.Since(sweepStart) }()
 	specs := buildEdgeJobs(s.u.seqs, rows, cols, s.cfg.Eps, s.sc.StreamWorkers(), s.seqKey, s.placeRows(rows))
-	s.wave++
 	first := s.nextSeq
 	for i := range specs {
 		job := specs[i].job
-		s.work <- WorkUnit{
-			Seq:     s.nextSeq,
-			Emitted: int64(time.Since(s.opened)),
-			Wave:    s.wave,
-			Edges:   &job,
-		}
+		s.work <- WorkUnit{Seq: s.nextSeq, Edges: &job}
 		s.nextSeq++
-		s.nEdgeJobs++
 	}
 	results, err := s.collected.await(first, len(specs))
 	if err != nil {
@@ -472,8 +442,6 @@ func (s *streamSession) placeRows(rows []int) []int {
 	}
 	return s.sc.PlaceRows(keys)
 }
-
-func (s *streamSession) edgeStats() (int, time.Duration) { return s.nEdgeJobs, s.dispatchWall }
 
 func (s *streamSession) close() {
 	close(s.work)

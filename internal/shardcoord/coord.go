@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"math/bits"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"kizzle/internal/pipeline"
 )
@@ -32,12 +30,6 @@ type Transport interface {
 // order never affects output.
 type Coordinator struct {
 	transport Transport
-	// retries is how many times a failed unit is retried on the next
-	// shard (round-robin) before the stream fails.
-	retries int
-	// sequential processes units one after another (profiling mode)
-	// instead of concurrently.
-	sequential bool
 
 	// schedSeed/shardPerm implement the seeded schedule permutation: the
 	// pull queue's shard choice is relabeled through a fixed seeded
@@ -53,40 +45,10 @@ type Coordinator struct {
 	// after a dispatch failure.
 	affMu    sync.Mutex
 	resident map[pipeline.SeqKey]uint64
-
-	schedMu    sync.Mutex
-	schedTotal ScheduleStats
-}
-
-// ScheduleStats accumulates the simulated fleet schedule measured under
-// sequential dispatch (see WithSequentialDispatch): per-shard busy time,
-// and the modeled makespan — when the last work unit would have finished
-// on a real fleet, given each unit's measured cost, its host-side
-// availability time, and a barrier before each reduce wave. Divide by
-// Runs for per-batch numbers.
-type ScheduleStats struct {
-	// Busy is accumulated execution time per shard.
-	Busy []time.Duration
-	// Makespan models the fleet's clustering+reduce critical path: work
-	// units start no earlier than the host emitted them, each shard runs
-	// one unit at a time, and each reduce wave starts only after the
-	// previous wave completed.
-	Makespan time.Duration
-	// PartitionUnits and EdgeUnits count executed work units.
-	PartitionUnits int
-	EdgeUnits      int
-	// Runs counts completed streams folded into the totals.
-	Runs int
 }
 
 // CoordinatorOption configures a Coordinator.
 type CoordinatorOption func(*Coordinator)
-
-// WithRetries sets how many alternative shards a failed work unit is
-// retried on before the whole stream errors (default 1: one failover).
-func WithRetries(n int) CoordinatorOption {
-	return func(c *Coordinator) { c.retries = n }
-}
 
 // WithSchedulePermutation relabels every pull-queue shard choice through
 // a seeded deterministic permutation (0 keeps the canonical schedule).
@@ -99,22 +61,9 @@ func WithSchedulePermutation(seed int64) CoordinatorOption {
 	return func(c *Coordinator) { c.schedSeed = seed }
 }
 
-// WithSequentialDispatch dispatches one work unit at a time, assigning
-// each to the shard that would be idle first in a simulated fleet
-// schedule (arrival-aware: a unit never starts before the host emitted
-// it). This is a profiling mode: per-shard busy times and the modeled
-// makespan measured under sequential dispatch are undistorted by CPU
-// time-slicing among loopback workers, which is how
-// BenchmarkPipelineSharded computes the distributed critical path — the
-// wall-clock an N-machine fleet would see — on a host with fewer cores
-// than shards. Results are identical to concurrent dispatch.
-func WithSequentialDispatch() CoordinatorOption {
-	return func(c *Coordinator) { c.sequential = true }
-}
-
 // NewCoordinator builds a coordinator over a transport.
 func NewCoordinator(t Transport, opts ...CoordinatorOption) *Coordinator {
-	c := &Coordinator{transport: t, retries: 1, resident: make(map[pipeline.SeqKey]uint64)}
+	c := &Coordinator{transport: t, resident: make(map[pipeline.SeqKey]uint64)}
 	for _, opt := range opts {
 		opt(c)
 	}
@@ -203,8 +152,6 @@ func (c *Coordinator) invalidateShard(shard int) {
 // routeUnit picks the shard for a work unit: for an edge job with content
 // keys, the shard holding the most resident bytes (ties to the lowest
 // shard); otherwise the caller's fallback (the pull queue's choice).
-// Routing runs before execution so the schedule model attributes the
-// unit's cost to the shard that actually served it.
 func (c *Coordinator) routeUnit(unit pipeline.WorkUnit, fallback int) int {
 	fallback = c.permShard(fallback)
 	if unit.Edges == nil {
@@ -236,22 +183,18 @@ func (c *Coordinator) routeUnit(unit pipeline.WorkUnit, fallback int) int {
 	return best
 }
 
-// ScheduleTotals returns the accumulated sequential-dispatch schedule
-// model and resets the accumulator.
-func (c *Coordinator) ScheduleTotals() ScheduleStats {
-	c.schedMu.Lock()
-	defer c.schedMu.Unlock()
-	out := c.schedTotal
-	out.Busy = append([]time.Duration(nil), c.schedTotal.Busy...)
-	c.schedTotal = ScheduleStats{}
-	return out
-}
+// failovers is how many further shards a failed work unit is tried on
+// before the stream fails: one failover, so a dead worker slows the
+// stream rather than killing it.
+const failovers = 1
 
 // ClusterStream consumes work units as the pipeline emits them and
-// returns one result per unit (pipeline.Clusterer). Partition units are
-// clustered and pre-reduced on the shard, edge units run the reduce's
-// distance sweeps. After a terminal failure every subsequent unit is
-// drained with the root error attached, so the pipeline never blocks.
+// returns one result per unit (pipeline.Clusterer) from the shared pull
+// queue: each shard goroutine takes the next unit the moment it finishes
+// its current one. Partition units are clustered and pre-reduced on the
+// shard, edge units run the reduce's distance sweeps. After a terminal
+// failure every subsequent unit is drained with the root error attached,
+// so the pipeline never blocks.
 func (c *Coordinator) ClusterStream(work <-chan pipeline.WorkUnit, cfg pipeline.Config) <-chan pipeline.WorkResult {
 	out := make(chan pipeline.WorkResult)
 	shards := c.transport.Shards()
@@ -265,21 +208,9 @@ func (c *Coordinator) ClusterStream(work <-chan pipeline.WorkUnit, cfg pipeline.
 		}()
 		return out
 	}
-	if c.sequential {
-		go c.streamSequential(work, cfg, out, shards)
-	} else {
-		go c.streamConcurrent(work, cfg, out, shards)
-	}
-	return out
-}
-
-// streamConcurrent runs the shared pull queue: each shard goroutine takes
-// the next unit the moment it finishes its current one.
-func (c *Coordinator) streamConcurrent(work <-chan pipeline.WorkUnit, cfg pipeline.Config, out chan<- pipeline.WorkResult, shards int) {
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var errOnce sync.Once
-	var firstErr atomic.Value // error
+	var firstErr error
 	var wg sync.WaitGroup
 	for s := 0; s < shards; s++ {
 		wg.Add(1)
@@ -293,101 +224,22 @@ func (c *Coordinator) streamConcurrent(work <-chan pipeline.WorkUnit, cfg pipeli
 				res := c.executeUnit(ctx, c.routeUnit(unit, shard), unit, cfg)
 				if res.Err != nil {
 					errOnce.Do(func() {
-						firstErr.Store(res.Err)
+						firstErr = res.Err
 						cancel()
 					})
 					// Attach the root cause, not a cascading cancellation.
-					res.Err = firstErr.Load().(error)
+					res.Err = firstErr
 				}
 				out <- res
 			}
 		}(s)
 	}
-	wg.Wait()
-	close(out)
-}
-
-// streamSequential executes units inline, one at a time, while modeling
-// the fleet schedule: each unit is assigned to the simulated
-// earliest-free shard, starting no earlier than the host emitted it
-// (unit.Emitted), with a barrier before each reduce wave (unit.Wave).
-func (c *Coordinator) streamSequential(work <-chan pipeline.WorkUnit, cfg pipeline.Config, out chan<- pipeline.WorkResult, shards int) {
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stats := ScheduleStats{Busy: make([]time.Duration, shards)}
-	free := make([]time.Duration, shards) // simulated per-shard finish times
-	wave := 0
-	var waveBase time.Duration
-	var firstErr error
-	for unit := range work {
-		if firstErr != nil {
-			out <- pipeline.WorkResult{Seq: unit.Seq, Err: firstErr}
-			continue
-		}
-		if unit.Wave != wave {
-			// Wave barrier: a reduce sweep starts only after everything
-			// before it completed.
-			wave = unit.Wave
-			waveBase = 0
-			for _, f := range free {
-				if f > waveBase {
-					waveBase = f
-				}
-			}
-		}
-		arrival := time.Duration(unit.Emitted)
-		if unit.Wave > 0 {
-			arrival = waveBase
-		}
-		shard := 0
-		for s := 1; s < shards; s++ {
-			if free[s] < free[shard] {
-				shard = s
-			}
-		}
-		// Affinity overrides earliest-free for keyed edge jobs, and does so
-		// before execution so busy time and makespan charge the routed shard.
-		shard = c.routeUnit(unit, shard)
-		start := time.Now()
-		res := c.executeUnit(ctx, shard, unit, cfg)
-		cost := time.Since(start)
-		if res.Err != nil {
-			firstErr = res.Err
-			out <- res
-			continue
-		}
-		simStart := arrival
-		if free[shard] > simStart {
-			simStart = free[shard]
-		}
-		free[shard] = simStart + cost
-		stats.Busy[shard] += cost
-		if unit.Partition != nil {
-			stats.PartitionUnits++
-		} else {
-			stats.EdgeUnits++
-		}
-		out <- res
-	}
-	for _, f := range free {
-		if f > stats.Makespan {
-			stats.Makespan = f
-		}
-	}
-	stats.Runs = 1
-	c.schedMu.Lock()
-	if len(c.schedTotal.Busy) != shards {
-		c.schedTotal.Busy = make([]time.Duration, shards)
-	}
-	for s := range free {
-		c.schedTotal.Busy[s] += stats.Busy[s]
-	}
-	c.schedTotal.Makespan += stats.Makespan
-	c.schedTotal.PartitionUnits += stats.PartitionUnits
-	c.schedTotal.EdgeUnits += stats.EdgeUnits
-	c.schedTotal.Runs++
-	c.schedMu.Unlock()
-	close(out)
+	go func() {
+		wg.Wait()
+		cancel()
+		close(out)
+	}()
+	return out
 }
 
 // executeUnit runs one work unit on (nominally) the given shard, with
@@ -401,11 +253,10 @@ func (c *Coordinator) executeUnit(ctx context.Context, shard int, unit pipeline.
 			Partition: *unit.Partition,
 			Profile:   cfg.ProfileID(),
 		}
-		resp, served, err := c.dispatchPartition(ctx, shard, req)
+		resp, err := c.dispatchPartition(ctx, shard, req)
 		if err != nil {
 			return pipeline.WorkResult{Seq: unit.Seq, Err: fmt.Errorf("partition unit %d on shard %d: %w", unit.Seq, shard, err)}
 		}
-		c.recordResident(served, unit.Partition.Keys)
 		// The summary is untrusted wire data; the pipeline validates it
 		// before mapping its indices.
 		return pipeline.WorkResult{Seq: unit.Seq, Reduced: &resp.Reduced}
@@ -420,61 +271,65 @@ func (c *Coordinator) executeUnit(ctx context.Context, shard int, unit pipeline.
 	}
 }
 
-// dispatchPartition sends one partition request, failing over to
-// subsequent shards up to the retry budget. A dead worker therefore slows
-// the stream rather than killing it. Returns the shard that actually
-// served the request so residency is recorded against it.
-func (c *Coordinator) dispatchPartition(ctx context.Context, shard int, req *PartitionRequest) (*PartitionResponse, int, error) {
-	shards := c.transport.Shards()
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if ctx.Err() != nil {
-			return nil, 0, ctx.Err()
-		}
-		s := (shard + attempt) % shards
-		resp, err := c.transport.Partition(ctx, s, req)
-		if err == nil {
-			return resp, s, nil
-		}
-		lastErr = err
-		c.invalidateShard(s)
+// dispatchPartition sends one partition request with failover, and
+// records the partition's sequences resident on the shard that served it.
+func (c *Coordinator) dispatchPartition(ctx context.Context, shard int, req *PartitionRequest) (*PartitionResponse, error) {
+	var resp *PartitionResponse
+	served, err := c.failover(ctx, shard, func(s int) (err error) {
+		resp, err = c.transport.Partition(ctx, s, req)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, 0, lastErr
+	c.recordResident(served, req.Partition.Keys)
+	return resp, nil
 }
 
-// dispatchEdgeJob sends one digest-first edge job, failing over to
-// subsequent shards up to the retry budget. Per shard the protocol is two
-// rounds at most: round 0 fills only the sequences the residency map says
-// the shard lacks; if the worker still reports misses (it evicted, or died
-// and restarted since the map was recorded), round 1 fills every position
-// — a worker resolves fills before its resident set, so a second-round
-// miss is impossible on a correct worker and is treated as a shard
-// failure.
+// dispatchEdgeJob sends one digest-first edge job (see sweepOn) with
+// failover, and records the job's sequences resident on the shard that
+// served it.
 func (c *Coordinator) dispatchEdgeJob(ctx context.Context, shard int, job *pipeline.EdgeJob, profile string) (*pipeline.EdgeList, error) {
 	if len(job.Keys) != len(job.Seqs) {
 		return nil, fmt.Errorf("shardcoord: edge job carries %d keys for %d sequences", len(job.Keys), len(job.Seqs))
 	}
-	shards := c.transport.Shards()
-	var lastErr error
-	for attempt := 0; attempt <= c.retries; attempt++ {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		s := (shard + attempt) % shards
-		el, err := c.sweepOn(ctx, s, job, profile)
-		if err == nil {
-			c.recordResident(s, job.Keys)
-			return el, nil
-		}
-		lastErr = err
-		c.invalidateShard(s)
+	var el *pipeline.EdgeList
+	served, err := c.failover(ctx, shard, func(s int) (err error) {
+		el, err = c.sweepOn(ctx, s, job, profile)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return nil, lastErr
+	c.recordResident(served, job.Keys)
+	return el, nil
 }
 
-// sweepOn runs one edge job on one shard: fills for the keys the
-// residency map does not place there, then a full refill if the worker
-// reports misses.
+// failover calls try on shard, then on the following shards (round-robin)
+// up to the failover budget, forgetting each failed shard's residency. It
+// returns the shard whose call succeeded.
+func (c *Coordinator) failover(ctx context.Context, shard int, try func(shard int) error) (int, error) {
+	shards := c.transport.Shards()
+	var lastErr error
+	for attempt := 0; attempt <= failovers; attempt++ {
+		if ctx.Err() != nil {
+			return 0, ctx.Err()
+		}
+		s := (shard + attempt) % shards
+		if lastErr = try(s); lastErr == nil {
+			return s, nil
+		}
+		c.invalidateShard(s)
+	}
+	return 0, lastErr
+}
+
+// sweepOn runs one digest-first edge job on one shard, in two rounds at
+// most: round 0 fills only the sequences the residency map says the shard
+// lacks; if the worker still reports misses (it evicted, or died and
+// restarted since the map was recorded), round 1 fills every position. A
+// worker resolves fills before its resident set, so a second-round miss
+// is impossible on a correct worker and is treated as a shard failure.
 func (c *Coordinator) sweepOn(ctx context.Context, shard int, job *pipeline.EdgeJob, profile string) (*pipeline.EdgeList, error) {
 	req := &EdgeRequestV3{Eps: job.Eps, Keys: job.Keys, Rows: job.Rows, Cols: job.Cols, Profile: profile}
 	var mask uint64

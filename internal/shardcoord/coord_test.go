@@ -301,13 +301,10 @@ func TestCoordinatorFailover(t *testing.T) {
 	}
 	stripTimings(&ref)
 
-	// Sequential dispatch makes the dead shard's involvement
-	// deterministic: under the concurrent shared queue the live shard can
-	// drain every partition before the dead one is ever asked.
 	healthy := NewLoopback(loopbackWorkers(1, false))
 	flaky := &flakyTransport{inner: healthy, deadShard: 0, shards: 2}
 	scfg := cfg
-	scfg.Clusterer = NewCoordinator(flaky, WithSequentialDispatch())
+	scfg.Clusterer = NewCoordinator(flaky)
 	got, err := pipeline.Process(inputs, seededCorpus(day), scfg)
 	if err != nil {
 		t.Fatalf("batch failed despite a surviving shard: %v", err)
@@ -316,46 +313,67 @@ func TestCoordinatorFailover(t *testing.T) {
 	if !reflect.DeepEqual(ref.Clusters, got.Clusters) || !reflect.DeepEqual(ref.Signatures, got.Signatures) {
 		t.Fatal("failover changed pipeline output")
 	}
-	if flaky.failed == 0 {
+	if flaky.failed.Load() == 0 {
 		t.Fatal("dead shard was never exercised")
 	}
 
-	// With every shard dead the batch must fail, not hang or fabricate —
-	// via both dispatch modes.
+	// With every shard dead the batch must fail, not hang or fabricate.
 	allDead := &flakyTransport{inner: healthy, deadShard: -1, shards: 2}
 	scfg.Clusterer = NewCoordinator(allDead)
-	if _, err := pipeline.Process(inputs, seededCorpus(day), scfg); err == nil {
-		t.Fatal("batch succeeded with no live shards (concurrent dispatch)")
-	}
-	scfg.Clusterer = NewCoordinator(allDead, WithSequentialDispatch())
 	if _, err := pipeline.Process(inputs, seededCorpus(day), scfg); err == nil {
 		t.Fatal("batch succeeded with no live shards")
 	}
 }
 
 // flakyTransport reports `shards` shards but fails requests to deadShard
-// (-1 = all dead), routing the rest to a single healthy inner worker.
+// (-1 = all dead), routing the rest to a single healthy inner worker. The
+// first request to a live shard is held until the dead shard has been
+// asked (or a timeout passes): under the shared pull queue the live shard
+// could otherwise drain every partition before the dead one is ever
+// asked.
 type flakyTransport struct {
 	inner     Transport
 	shards    int
 	deadShard int
-	failed    int
+	failed    atomic.Int64
+	held      atomic.Bool
+	askedOnce sync.Once
+	asked     chan struct{} // closed when the dead shard is first asked
 }
 
 func (f *flakyTransport) Shards() int { return f.shards }
 
-func (f *flakyTransport) Partition(ctx context.Context, shard int, req *PartitionRequest) (*PartitionResponse, error) {
+func (f *flakyTransport) askedCh() chan struct{} {
+	f.askedOnce.Do(func() { f.asked = make(chan struct{}) })
+	return f.asked
+}
+
+func (f *flakyTransport) down(shard int) error {
 	if shard == f.deadShard || f.deadShard == -1 {
-		f.failed++
-		return nil, fmt.Errorf("shard %d is down", shard)
+		if f.failed.Add(1) == 1 {
+			close(f.askedCh())
+		}
+		return fmt.Errorf("shard %d is down", shard)
+	}
+	if f.held.CompareAndSwap(false, true) {
+		select {
+		case <-f.askedCh():
+		case <-time.After(10 * time.Second):
+		}
+	}
+	return nil
+}
+
+func (f *flakyTransport) Partition(ctx context.Context, shard int, req *PartitionRequest) (*PartitionResponse, error) {
+	if err := f.down(shard); err != nil {
+		return nil, err
 	}
 	return f.inner.Partition(ctx, 0, req)
 }
 
 func (f *flakyTransport) EdgesV3(ctx context.Context, shard int, req *EdgeRequestV3) (*EdgeResponseV3, error) {
-	if shard == f.deadShard || f.deadShard == -1 {
-		f.failed++
-		return nil, fmt.Errorf("shard %d is down", shard)
+	if err := f.down(shard); err != nil {
+		return nil, err
 	}
 	return f.inner.EdgesV3(ctx, 0, req)
 }

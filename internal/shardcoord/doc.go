@@ -32,13 +32,13 @@
 //
 //   - NewHTTPTransport dispatches to real worker processes by base URL;
 //   - NewLoopback runs the identical HTTP handler/JSON round trip against
-//     in-process workers with no sockets, so `go test` (and the
-//     BenchmarkPipelineSharded scaling benchmark) exercises the full
-//     distributed path deterministically.
+//     in-process workers with no sockets, so `go test` (and
+//     BenchmarkPipelineSharded) exercises the full distributed path.
 //
 // Every work unit's result is a pure function of the unit, so shard
 // count, scheduling, the seeded schedule permutation
-// (WithSchedulePermutation), mid-stream failover (WithRetries), and
+// (WithSchedulePermutation), mid-stream failover (one retry on the next
+// shard), and
 // result arrival order are invisible in pipeline output — pinned by
 // TestShardedMatchesSingleProcess, TestHierarchicalReduceOrderInvariant,
 // TestStreamFailoverMidStream, TestShardedAffinityMatchesSingleProcess
@@ -47,7 +47,5 @@
 // and TestCoordinatorEdgesV3StaleResidencyRefill.
 // Workers may carry a contentcache.Cache (optionally disk-backed, see
 // WithWorkerCache) to reuse pair within-eps verdicts across requests and
-// restarts; caching never changes results. WithSequentialDispatch turns
-// the coordinator into a profiling instrument that models the fleet
-// schedule (ScheduleTotals) while dispatching units one at a time.
+// restarts; caching never changes results.
 package shardcoord

@@ -29,7 +29,7 @@ type Sample struct {
 // Option configures a Compiler.
 //
 // Options validate their arguments: an out-of-range value (a negative
-// worker count, a zero partition fanout, an empty shard URL, an unknown
+// worker count, a zero eps, an empty shard URL, an unknown
 // ingest profile) is recorded as a configuration fault instead of being
 // silently clamped, and the first Process call on the misconfigured
 // Compiler returns an error naming every faulty option.
@@ -174,22 +174,6 @@ func WithPartitionSize(n int) Option {
 			return
 		}
 		c.PartitionSize = n
-	}
-}
-
-// WithPartitionFanout sets how many partitions fill concurrently during
-// streaming dedup (default 8). New unique shapes scatter round-robin
-// across the open partitions — the streaming stand-in for the paper's
-// random partitioning — so one family's consecutive variants spread out
-// instead of piling into one partition. A fanout below 1 is a
-// configuration fault.
-func WithPartitionFanout(n int) Option {
-	return func(c *pipeline.Config) {
-		if n < 1 {
-			fault(c, "WithPartitionFanout: fanout %d below 1", n)
-			return
-		}
-		c.PartitionFanout = n
 	}
 }
 

@@ -47,8 +47,6 @@ func TestOptionValidation(t *testing.T) {
 		{"WithSignatureSlack negative", []kizzle.Option{kizzle.WithSignatureSlack(-1)}, "WithSignatureSlack: negative slack -1"},
 		{"WithPartitionSize valid", []kizzle.Option{kizzle.WithPartitionSize(100)}, ""},
 		{"WithPartitionSize negative", []kizzle.Option{kizzle.WithPartitionSize(-5)}, "WithPartitionSize: negative partition size -5"},
-		{"WithPartitionFanout valid", []kizzle.Option{kizzle.WithPartitionFanout(4)}, ""},
-		{"WithPartitionFanout zero", []kizzle.Option{kizzle.WithPartitionFanout(0)}, "WithPartitionFanout: fanout 0 below 1"},
 		{"WithCacheBytes valid", []kizzle.Option{kizzle.WithCacheBytes(1 << 20)}, ""},
 		{"WithCacheBytes negative disables", []kizzle.Option{kizzle.WithCacheBytes(-1)}, ""},
 		{"WithShardWorkers empty list stays in-process", []kizzle.Option{kizzle.WithShardWorkers()}, ""},

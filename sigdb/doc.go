@@ -20,4 +20,10 @@
 // kizzle.MatcherCache) before reporting it, and exposes that compiled
 // matcher so deployments never pay for a second compile. Client.Run
 // spreads replica rounds with ±jitter so fleets do not synchronize.
+//
+// Every publishing path (Publish, PublishAttested, Replace and so POST
+// /signatures) refuses a set with multi-part signatures
+// (ErrMultiUnenforced): consumers deploy only the single-run Matcher, so
+// a published multi signature would protect nobody. The wire format and
+// the multi parameters stay, for the day a consumer scans them.
 package sigdb

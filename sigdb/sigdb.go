@@ -49,12 +49,21 @@ func validateFamilies(sigs []kizzle.Signature, multi []kizzle.MultiSignature) er
 // snapshot adds to the update encoding of the same set.
 const maxVersionField = len(`"version":9223372036854775807,`)
 
-// prepare validates a candidate set for every publishing path — family
-// names unambiguous, served size within maxUpdateBytes (a larger set
-// would be refused by every client), compiles — and returns it as an
-// unversioned snapshot along with its update encoding, the serialized
-// form publishes compare.
+// ErrMultiUnenforced refuses a candidate set that carries multi-part
+// signatures. Every consumer deploys only the single-run Matcher, so a
+// published multi signature would protect nobody; the store refuses the
+// set rather than appear to ship protection that no replica enforces.
+var ErrMultiUnenforced = errors.New("sigdb: multi-part signatures are not enforced by any replica")
+
+// prepare validates a candidate set for every publishing path — no
+// multi-part signatures (ErrMultiUnenforced), family names unambiguous,
+// served size within maxUpdateBytes (a larger set would be refused by
+// every client), compiles — and returns it as an unversioned snapshot
+// along with its update encoding, the serialized form publishes compare.
 func prepare(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (Snapshot, []byte, error) {
+	if len(multi) > 0 {
+		return Snapshot{}, nil, fmt.Errorf("%w: %d in the set", ErrMultiUnenforced, len(multi))
+	}
 	next, err := json.Marshal(update{Signatures: sigs, Multi: multi})
 	if err != nil {
 		return Snapshot{}, nil, fmt.Errorf("sigdb: marshal candidate: %w", err)

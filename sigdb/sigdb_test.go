@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -125,6 +126,84 @@ func TestStoreRejectsInvalid(t *testing.T) {
 	if s.Version() != 0 {
 		t.Error("failed replace must not bump the version")
 	}
+}
+
+// trainMulti generates one multi-part signature from a synthetic day.
+func trainMulti(t *testing.T, day int) kizzle.MultiSignature {
+	t.Helper()
+	cfg := synth.DefaultConfig()
+	cfg.BenignPerDay = 0
+	stream, err := synth.NewStream(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var docs []string
+	for _, s := range stream.Day(day) {
+		if s.Family == synth.SweetOrange {
+			docs = append(docs, s.Content)
+		}
+	}
+	multi, err := kizzle.GenerateMulti("Sweet Orange", docs, kizzle.WithMultiSlack(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return multi
+}
+
+// TestStoreRefusesMulti pins that no publishing path installs multi-part
+// signatures while no replica scans them: Publish, PublishAttested and
+// Replace (behind POST /signatures) all refuse with ErrMultiUnenforced
+// and leave the store untouched.
+func TestStoreRefusesMulti(t *testing.T) {
+	day := synth.Date(time.August, 6)
+	sigs := trainSignatures(t, day)
+	multi := []kizzle.MultiSignature{trainMulti(t, day)}
+	for _, tc := range []struct {
+		name    string
+		publish func(*Store) error
+	}{
+		{"Publish", func(s *Store) error { _, _, err := s.Publish(sigs, multi); return err }},
+		{"PublishAttested", func(s *Store) error {
+			_, _, _, err := s.PublishAttested(sigs, multi, "corpus", PathDescriptor{}, PathDescriptor{})
+			return err
+		}},
+		{"Replace", func(s *Store) error { _, err := s.Replace(sigs, multi); return err }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			store := New()
+			if err := tc.publish(store); !errors.Is(err, ErrMultiUnenforced) {
+				t.Fatalf("err = %v, want ErrMultiUnenforced", err)
+			}
+			if store.Version() != 0 {
+				t.Fatalf("a refused multi set moved the store to v%d", store.Version())
+			}
+		})
+	}
+
+	t.Run("POST", func(t *testing.T) {
+		store := New()
+		srv := httptest.NewServer(store.Handler())
+		defer srv.Close()
+		body, err := json.Marshal(map[string]any{"signatures": sigs, "multi": multi})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Post(srv.URL, "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Errorf("status %d, want 422", resp.StatusCode)
+		}
+		if store.Version() != 0 {
+			t.Fatalf("a refused multi set moved the store to v%d", store.Version())
+		}
+		// The single-run set alone still publishes.
+		if v, _, err := store.Publish(sigs, nil); err != nil || v != 1 {
+			t.Fatalf("Publish without multi: v%d, %v", v, err)
+		}
+	})
 }
 
 func TestStorePersistence(t *testing.T) {
