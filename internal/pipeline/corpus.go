@@ -35,10 +35,15 @@ type Corpus struct {
 	// version increases with every mutation (any family); kept for callers
 	// that only need "did anything change".
 	version uint64
+
+	// scratchMu guards scratch, the fingerprinting state Add and
+	// OverlapWith reuse; it is separate from mu so fingerprinting never
+	// blocks a sweep.
+	scratchMu sync.Mutex
+	scratch   winnow.Scratch
 }
 
 type corpusEntry struct {
-	hist    winnow.Histogram
 	compact winnow.Compact
 	text    string
 	digest  uint64
@@ -76,12 +81,11 @@ func familyGen(entries []corpusEntry) uint64 {
 }
 
 // Add inserts one labeled unpacked sample, bumping only that family's
-// generation.
+// generation. The entry is fingerprinted straight into compact form, the
+// only form sweeps read.
 func (c *Corpus) Add(family, text string) {
-	hist := winnow.Fingerprint(text, c.cfg)
 	entry := corpusEntry{
-		hist:    hist,
-		compact: hist.Compact(),
+		compact: c.fingerprint(text),
 		text:    text,
 		digest:  contentcache.Digest(text),
 	}
@@ -99,6 +103,13 @@ func (c *Corpus) Add(family, text string) {
 		sort.Strings(c.families)
 	}
 	c.version++
+}
+
+// fingerprint computes text's compact winnow fingerprint.
+func (c *Corpus) fingerprint(text string) winnow.Compact {
+	c.scratchMu.Lock()
+	defer c.scratchMu.Unlock()
+	return c.scratch.FingerprintCompact(text, c.cfg)
 }
 
 // Version identifies the current corpus contents; it changes on every Add.
@@ -248,12 +259,12 @@ func (c *Corpus) ResolveHist(hist winnow.Histogram, prior []FamilyVerdict) (verd
 // OverlapWith returns the best overlap against a single family's entries,
 // used by the similarity-over-time experiment (Figure 11).
 func (c *Corpus) OverlapWith(family, text string) float64 {
-	hist := winnow.Fingerprint(text, c.cfg)
+	probe := c.fingerprint(text)
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	best := 0.0
 	for _, e := range c.entries[family] {
-		if o := winnow.Overlap(hist, e.hist); o > best {
+		if o := winnow.OverlapCompact(probe, e.compact); o > best {
 			best = o
 		}
 	}

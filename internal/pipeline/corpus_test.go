@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"sync"
 	"testing"
 
 	"kizzle/internal/contentcache"
@@ -179,6 +180,61 @@ func TestBestMatchCachedPerFamilyInvalidation(t *testing.T) {
 	for i, p := range payloads {
 		if _, _, swept := bestMatchCached(cache, nil, corpus, p); swept != 0 {
 			t.Fatalf("re-warmed lookup %d swept %d, want 0", i, swept)
+		}
+	}
+}
+
+// TestCorpusConcurrentFingerprinting runs Add and OverlapWith from
+// several goroutines at once — they share the corpus's fingerprinting
+// scratch — and checks every overlap against a corpus built serially.
+func TestCorpusConcurrentFingerprinting(t *testing.T) {
+	day := ekit.Date(8, 10)
+	cfg := winnow.DefaultConfig()
+	serial := NewCorpus(cfg, 8)
+	for _, fam := range ekit.Families {
+		serial.Add(fam.String(), ekit.Payload(fam, day-1))
+	}
+	c := NewCorpus(cfg, 8)
+	var wg sync.WaitGroup
+	for _, fam := range ekit.Families {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c.Add(fam.String(), ekit.Payload(fam, day-1))
+			c.OverlapWith(fam.String(), ekit.Payload(fam, day))
+		}()
+	}
+	wg.Wait()
+	for _, fam := range ekit.Families {
+		probe := ekit.Payload(fam, day)
+		if got, want := c.OverlapWith(fam.String(), probe), serial.OverlapWith(fam.String(), probe); got != want {
+			t.Errorf("%s: concurrent corpus overlap %v, serial %v", fam, got, want)
+		}
+	}
+}
+
+// BenchmarkCorpusAdd measures seeding a fresh corpus with known payloads —
+// what a cold verification compiler pays for every AddKnown of the
+// accumulated corpus before it can label anything.
+func BenchmarkCorpusAdd(b *testing.B) {
+	day := ekit.Date(8, 10)
+	var texts, fams []string
+	for d := 0; d < 8; d++ {
+		for _, fam := range ekit.Families {
+			fams = append(fams, fam.String())
+			texts = append(texts, ekit.Payload(fam, day-d))
+		}
+	}
+	size := 0
+	for _, s := range texts {
+		size += len(s)
+	}
+	b.SetBytes(int64(size))
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		c := NewCorpus(winnow.DefaultConfig(), 0)
+		for j, s := range texts {
+			c.Add(fams[j], s)
 		}
 	}
 }

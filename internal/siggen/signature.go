@@ -4,8 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"regexp"
+	"strconv"
 	"strings"
 
+	"kizzle/internal/canonjson"
 	"kizzle/internal/jstoken"
 )
 
@@ -48,6 +50,52 @@ type Signature struct {
 	// Samples is the number of cluster samples the signature was
 	// generalized from.
 	Samples int `json:"samples"`
+}
+
+// AppendJSON appends the signature's canonical encoding, byte for byte
+// what json.Marshal(s) writes: fields in declaration order, omitempty
+// honored, strings escaped as encoding/json escapes them. The published
+// set digest is a hash of these bytes, so the two must never drift —
+// FuzzSignatureJSON pins them together.
+func (s Signature) AppendJSON(b []byte) []byte {
+	b = append(b, `{"family":`...)
+	b = canonjson.AppendString(b, s.Family)
+	b = append(b, `,"elements":`...)
+	if s.Elements == nil {
+		b = append(b, "null"...)
+	} else {
+		b = append(b, '[')
+		for i, e := range s.Elements {
+			if i > 0 {
+				b = append(b, ',')
+			}
+			b = append(b, `{"kind":`...)
+			b = strconv.AppendInt(b, int64(e.Kind), 10)
+			if e.Literal != "" {
+				b = append(b, `,"literal":`...)
+				b = canonjson.AppendString(b, e.Literal)
+			}
+			if e.Class != "" {
+				b = append(b, `,"class":`...)
+				b = canonjson.AppendString(b, e.Class)
+			}
+			if e.MinLen != 0 {
+				b = append(b, `,"minLen":`...)
+				b = strconv.AppendInt(b, int64(e.MinLen), 10)
+			}
+			if e.MaxLen != 0 {
+				b = append(b, `,"maxLen":`...)
+				b = strconv.AppendInt(b, int64(e.MaxLen), 10)
+			}
+			b = append(b, `,"group":`...)
+			b = strconv.AppendInt(b, int64(e.Group), 10)
+			b = append(b, '}')
+		}
+		b = append(b, ']')
+	}
+	b = append(b, `,"samples":`...)
+	b = strconv.AppendInt(b, int64(s.Samples), 10)
+	return append(b, '}')
 }
 
 // Config controls signature generation.

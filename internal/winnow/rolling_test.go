@@ -2,6 +2,7 @@ package winnow
 
 import (
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -260,6 +261,36 @@ func TestFillGrams5MatchesScalar(t *testing.T) {
 			want := hashBytes(text[i : i+5])
 			if dst[i] != want {
 				t.Fatalf("len=%d gram=%d: got %#x want %#x", n, i, dst[i], want)
+			}
+		}
+	}
+}
+
+// TestFingerprintCompactMatchesHistogram pins the map-free path the known
+// corpus is fingerprinted with: FingerprintCompact must equal
+// Fingerprint(text, cfg).Compact() exactly — same sorted hashes, counts
+// and total — under the default and random K/Window configurations, with
+// one Scratch reused across every document and configuration.
+// Documents of every size reach both of sortSelected's paths.
+func TestFingerprintCompactMatchesHistogram(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	cfgs := []Config{DefaultConfig(), {}}
+	for i := 0; i < 12; i++ {
+		cfgs = append(cfgs, Config{K: 1 + rng.Intn(9), Window: 1 + rng.Intn(20)})
+	}
+	// The repetitive texts select long runs of equal hashes, overfilling
+	// sortSelected's buckets.
+	texts := []string{"", "a", "abcd", "abcdefgh", strings.Repeat("ab", 40), strings.Repeat("abcdefgh", 500), strings.Repeat("x", 4000)}
+	for i := 0; i < 25; i++ {
+		texts = append(texts, randomAlphabetText(rng, rng.Intn(3000), "abc{};=.()"))
+	}
+	var s Scratch
+	for _, cfg := range cfgs {
+		for i, text := range texts {
+			want := Fingerprint(text, cfg).Compact()
+			got := s.FingerprintCompact(text, cfg)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("cfg %+v text %d (%d bytes): FingerprintCompact differs from Fingerprint().Compact()", cfg, i, len(text))
 			}
 		}
 	}

@@ -1,6 +1,9 @@
 package winnow
 
-import "slices"
+import (
+	"math/bits"
+	"slices"
+)
 
 // Config holds the two winnowing parameters. With k-gram size k and window
 // size w, winnowing guarantees that any shared substring of length at least
@@ -40,6 +43,11 @@ type Scratch struct {
 	// the multiply-latency chains of neighboring grams overlapped
 	// instead of serialized behind the deque bookkeeping.
 	hbuf []uint64
+	// sel collects one document's selected hashes, in selection order;
+	// sorted holds them sorted and buckets counts them by top bits (see
+	// sortSelected).
+	sel, sorted []uint64
+	buckets     []int32
 }
 
 // laneWidth is how many k=5 gram hashes the block fill computes per
@@ -87,19 +95,109 @@ func (s *Scratch) Fingerprint(text string, cfg Config) Histogram {
 // compare non-trivially. With a warm Scratch and a Reset histogram whose
 // buckets have stabilized, the call performs no allocations.
 func (s *Scratch) AppendFingerprint(h Histogram, text string, cfg Config) Histogram {
+	if h == nil {
+		h = make(Histogram)
+	}
+	s.sel = s.appendSelected(s.sel[:0], text, cfg)
+	for _, g := range s.sel {
+		h[g]++
+	}
+	return h
+}
+
+// FingerprintCompact computes the winnow fingerprint of text straight into
+// its sorted form: the selected hashes are sorted and run-length encoded,
+// with no Histogram map in between. The result is identical to
+// Fingerprint(text, cfg).Compact().
+func (s *Scratch) FingerprintCompact(text string, cfg Config) Compact {
+	s.sel = s.appendSelected(s.sel[:0], text, cfg)
+	sel := s.sortSelected()
+	distinct := 0
+	for i, g := range sel {
+		if i == 0 || g != sel[i-1] {
+			distinct++
+		}
+	}
+	c := Compact{
+		hashes: make([]uint64, 0, distinct),
+		counts: make([]int32, 0, distinct),
+		total:  len(sel),
+	}
+	for i, g := range sel {
+		if i > 0 && g == sel[i-1] {
+			c.counts[len(c.counts)-1]++
+			continue
+		}
+		c.hashes = append(c.hashes, g)
+		c.counts = append(c.counts, 1)
+	}
+	return c
+}
+
+// sortSelected returns s.sel sorted, in s.sorted. Winnow hashes are
+// close to uniform, so one counting pass distributes them by their top
+// bits into about as many buckets as there are hashes, and each bucket —
+// a handful of hashes — is finished by insertion sort. A bucket that a
+// skewed input overfills is sorted by slices.Sort, so the worst case
+// stays O(n log n).
+func (s *Scratch) sortSelected() []uint64 {
+	sel := s.sel
+	if len(sel) < 64 {
+		slices.Sort(sel)
+		return sel
+	}
+	shift := 64 - bits.Len(uint(len(sel)))
+	nb := 1<<(64-shift) + 1
+	if cap(s.buckets) < nb {
+		s.buckets = make([]int32, nb)
+	}
+	starts := s.buckets[:nb]
+	clear(starts)
+	for _, h := range sel {
+		starts[h>>shift+1]++
+	}
+	for b := 1; b < nb; b++ {
+		starts[b] += starts[b-1]
+	}
+	if cap(s.sorted) < len(sel) {
+		s.sorted = make([]uint64, len(sel))
+	}
+	out := s.sorted[:len(sel)]
+	for _, h := range sel {
+		b := h >> shift
+		out[starts[b]] = h
+		starts[b]++
+	}
+	// starts[b] is now the end of bucket b and the start of bucket b+1.
+	lo := int32(0)
+	for _, hi := range starts[:nb-1] {
+		if bucket := out[lo:hi]; len(bucket) > 16 {
+			slices.Sort(bucket)
+		} else {
+			for i := 1; i < len(bucket); i++ {
+				for j := i; j > 0 && bucket[j] < bucket[j-1]; j-- {
+					bucket[j], bucket[j-1] = bucket[j-1], bucket[j]
+				}
+			}
+		}
+		lo = hi
+	}
+	return out
+}
+
+// appendSelected appends the hashes winnowing selects from text to dst,
+// one per selected position, and returns the extended slice: the one
+// selection both AppendFingerprint and FingerprintCompact record from.
+func (s *Scratch) appendSelected(dst []uint64, text string, cfg Config) []uint64 {
 	if cfg.K <= 0 {
 		cfg.K = DefaultConfig().K
 	}
 	if cfg.Window <= 0 {
 		cfg.Window = DefaultConfig().Window
 	}
-	if h == nil {
-		h = make(Histogram)
-	}
 	k, w := cfg.K, cfg.Window
 	if len(text) < k {
-		h[hashBytes(text)]++
-		return h
+		return append(dst, hashBytes(text))
 	}
 	n := len(text) - k + 1
 	if n <= w {
@@ -111,8 +209,7 @@ func (s *Scratch) AppendFingerprint(h Histogram, text string, cfg Config) Histog
 				best = g
 			}
 		}
-		h[best]++
-		return h
+		return append(dst, best)
 	}
 
 	// Robust winnowing over a sliding window of w gram hashes. The deque
@@ -158,12 +255,12 @@ func (s *Scratch) AppendFingerprint(h Histogram, text string, cfg Config) Histog
 			// Record each selected position once (robust winnowing: keep
 			// the previous selection while it remains the window minimum).
 			if sel := pos[head]; sel != prevSel {
-				h[val[head]]++
+				dst = append(dst, val[head])
 				prevSel = sel
 			}
 		}
 	}
-	return h
+	return dst
 }
 
 // Fingerprint computes the winnow histogram of text with transient scratch

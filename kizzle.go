@@ -357,9 +357,22 @@ type Cluster struct {
 	SignatureIndex int
 }
 
-// Signature is a compiled structural signature.
+// Signature is a compiled structural signature. It carries its
+// canonical JSON encoding, computed once when the signature is made (by
+// Process or UnmarshalJSON), so publishing, digesting and serving a set
+// concatenate bytes instead of re-encoding every signature each time.
+// The encoding is always derived from the signature's value, never
+// copied from decoded input.
 type Signature struct {
 	inner siggen.Signature
+	// enc is inner's canonical encoding; nil on a zero Signature, which
+	// encodes on the fly.
+	enc []byte
+}
+
+// newSignature wraps a generated signature with its canonical encoding.
+func newSignature(inner siggen.Signature) Signature {
+	return Signature{inner: inner, enc: inner.AppendJSON(nil)}
 }
 
 // Family returns the kit the signature detects.
@@ -376,14 +389,34 @@ func (s Signature) TokenLength() int { return s.inner.TokenLength() }
 // quantity plotted in Figure 12).
 func (s Signature) Length() int { return s.inner.Length() }
 
+// AppendJSON appends the signature's canonical JSON encoding to b: the
+// structural form, byte for byte what encoding/json writes for it. A
+// published set's digest (sigdb.SetDigest) hashes the body these
+// encodings are concatenated into.
+func (s Signature) AppendJSON(b []byte) []byte {
+	if s.enc == nil {
+		return s.inner.AppendJSON(b)
+	}
+	return append(b, s.enc...)
+}
+
 // MarshalJSON serializes the signature in its structural form, so stored
 // signature databases survive round trips (the regex rendering alone would
 // lose the back-reference semantics for Go consumers).
-func (s Signature) MarshalJSON() ([]byte, error) { return json.Marshal(s.inner) }
+func (s Signature) MarshalJSON() ([]byte, error) { return s.AppendJSON(nil), nil }
 
 // UnmarshalJSON restores a serialized signature; validity is checked when
-// it is compiled into a Matcher.
-func (s *Signature) UnmarshalJSON(data []byte) error { return json.Unmarshal(data, &s.inner) }
+// it is compiled into a Matcher. The canonical encoding is re-derived
+// from the decoded value, so a non-canonical input (extra whitespace,
+// escaped letters, duplicate keys) never reaches a digest.
+func (s *Signature) UnmarshalJSON(data []byte) error {
+	if err := json.Unmarshal(data, &s.inner); err != nil {
+		s.enc = nil
+		return err
+	}
+	s.enc = s.inner.AppendJSON(nil)
+	return nil
+}
 
 // Result is the output of Process.
 type Result struct {
@@ -452,7 +485,7 @@ func (c *Compiler) Process(samples []Sample) (*Result, error) {
 	}
 	out.Signatures = make([]Signature, len(pres.Signatures))
 	for i, sig := range pres.Signatures {
-		out.Signatures[i] = Signature{inner: sig}
+		out.Signatures[i] = newSignature(sig)
 	}
 	out.Clusters = make([]Cluster, len(pres.Clusters))
 	for i, cl := range pres.Clusters {

@@ -227,10 +227,13 @@ func (r AuditRecord) checkChain(seq int64, prevSum string) error {
 
 // SetDigest computes the content digest of a signature set: SHA-256 hex
 // over the canonical serialized update body — the exact bytes Publish
-// compares against the live set and consumers deploy. Deterministic:
-// the serialized forms contain no maps.
+// compares against the live set and consumers deploy. The canonical
+// encoding is encoding/json's for the update body; each signature's
+// share of it is computed once, when the signature is made (see
+// kizzle.Signature.AppendJSON), and the body is their concatenation.
+// Deterministic: the serialized forms contain no maps.
 func SetDigest(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (string, error) {
-	b, err := json.Marshal(update{Signatures: sigs, Multi: multi})
+	b, err := appendUpdate(nil, sigs, multi)
 	if err != nil {
 		return "", fmt.Errorf("sigdb: digest signature set: %w", err)
 	}
@@ -281,17 +284,19 @@ func (s *Store) PublishAttested(sigs []kizzle.Signature, multi []kizzle.MultiSig
 	}
 	sum := sha256.Sum256(next)
 	setDigest := hex.EncodeToString(sum[:])
-	s.mu.Lock()
+	changed, err = s.lockPublish(candidate, next)
+	if err != nil {
+		return 0, false, Attestation{}, err
+	}
 	defer s.mu.Unlock()
-	cur, err := json.Marshal(update{Signatures: s.snap.Signatures, Multi: s.snap.Multi})
-	if err == nil && s.snap.Version > 0 && bytes.Equal(cur, next) {
+	if !changed {
 		if att, ok := s.attests[s.snap.Version]; ok {
 			return s.snap.Version, false, att, nil
 		}
 		att, err := s.attestLocked(s.snap.Version, corpusDigest, setDigest, primary, verify)
 		return s.snap.Version, false, att, err
 	}
-	version, err = s.installLocked(candidate)
+	version, err = s.installLocked(candidate, next)
 	if err != nil {
 		return 0, false, Attestation{}, err
 	}

@@ -1,12 +1,11 @@
 package sigdb
 
 import (
-	"encoding/json"
+	"crypto/sha256"
 	"fmt"
+	"strconv"
 
 	"kizzle"
-	"kizzle/internal/contentcache"
-	"kizzle/internal/zerocopy"
 )
 
 // deltaHistory bounds how many past versions the store keeps family
@@ -43,38 +42,36 @@ type Delta struct {
 	Multi []kizzle.MultiSignature `json:"multi,omitempty"`
 }
 
-// familyDigests maps each family to a digest of its ordered signature
-// list, in serialized form — the bytes consumers deploy, so any change a
-// client could observe changes the digest.
-func familyDigests(sigs []kizzle.Signature) (map[string]uint64, error) {
+// familyDigest is the SHA-256 of one family's ordered signature list.
+type familyDigest = [sha256.Size]byte
+
+// familyDigests maps each family to the SHA-256 of its ordered signature
+// list in canonical serialized form — the bytes consumers deploy, so any
+// change a client could observe changes the digest. A cryptographic hash
+// because a collision would silently leave a changed family out of every
+// delta: a replica would deploy the stale family, or a strict one would
+// reject each round until the next version.
+func familyDigests(sigs []kizzle.Signature) map[string]familyDigest {
 	byFam := make(map[string][]kizzle.Signature)
 	for _, sig := range sigs {
 		byFam[sig.Family()] = append(byFam[sig.Family()], sig)
 	}
-	out := make(map[string]uint64, len(byFam))
+	out := make(map[string]familyDigest, len(byFam))
+	var buf []byte
 	for fam, list := range byFam {
-		data, err := json.Marshal(list)
-		if err != nil {
-			return nil, fmt.Errorf("sigdb: digest family %s: %w", fam, err)
-		}
-		out[fam] = contentcache.Digest(zerocopy.String(data))
+		buf = appendSigList(buf[:0], list)
+		out[fam] = sha256.Sum256(buf)
 	}
-	return out, nil
+	return out
 }
 
 // recordHistoryLocked stores the current snapshot's family digests and
-// prunes entries beyond the history window. Caller holds s.mu; digest
-// failures just skip the entry (deltas become unavailable for this
-// version, full snapshots still serve).
+// prunes entries beyond the history window. Caller holds s.mu.
 func (s *Store) recordHistoryLocked() {
-	digests, err := familyDigests(s.snap.Signatures)
-	if err != nil {
-		return
-	}
 	if s.history == nil {
-		s.history = make(map[int64]map[string]uint64)
+		s.history = make(map[int64]map[string]familyDigest)
 	}
-	s.history[s.snap.Version] = digests
+	s.history[s.snap.Version] = familyDigests(s.snap.Signatures)
 	for v := range s.history {
 		if v <= s.snap.Version-deltaHistory {
 			delete(s.history, v)
@@ -82,33 +79,47 @@ func (s *Store) recordHistoryLocked() {
 	}
 }
 
-// snapshotAndDelta returns the current snapshot and, when family-digest
-// history for since is available, the delta from since to it — both read
-// under one lock so they describe the same version.
-func (s *Store) snapshotAndDelta(since int64) (Snapshot, *Delta) {
+// liveSet is the installed version as the GET handlers serve it.
+type liveSet struct {
+	version int64
+	// enc is the set's update encoding (Store.enc).
+	enc []byte
+}
+
+// bodyLen is the length of the full Snapshot body, body() without
+// building it.
+func (l liveSet) bodyLen() int {
+	return len(`{"version":,`) + len(strconv.FormatInt(l.version, 10)) + len(l.enc) - 1
+}
+
+// body is the full Snapshot response body.
+func (l liveSet) body() []byte {
+	return appendSnapshot(make([]byte, 0, l.bodyLen()), l.version, l.enc)
+}
+
+// snapshotAndDelta returns the live set and, when family-digest history
+// for since is available, the delta from since to it — both read under
+// one lock so they describe the same version.
+func (s *Store) snapshotAndDelta(since int64) (liveSet, *Delta) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	snap := Snapshot{
-		Version:    s.snap.Version,
-		Signatures: append([]kizzle.Signature(nil), s.snap.Signatures...),
-		Multi:      append([]kizzle.MultiSignature(nil), s.snap.Multi...),
-	}
-	if since <= 0 || since >= snap.Version {
-		return snap, nil
+	live := liveSet{version: s.snap.Version, enc: s.enc}
+	if since <= 0 || since >= live.version {
+		return live, nil
 	}
 	old, ok := s.history[since]
-	cur := s.history[snap.Version]
+	cur := s.history[live.version]
 	if !ok || cur == nil {
-		return snap, nil
+		return live, nil
 	}
 	d := &Delta{
-		Version: snap.Version,
+		Version: live.version,
 		Since:   since,
 		IsDelta: true,
 		Changed: make(map[string][]kizzle.Signature),
 	}
 	famIndex := make(map[string]int)
-	for _, sig := range snap.Signatures {
+	for _, sig := range s.snap.Signatures {
 		fam := sig.Family()
 		i, seen := famIndex[fam]
 		if !seen {
@@ -124,8 +135,8 @@ func (s *Store) snapshotAndDelta(since int64) (Snapshot, *Delta) {
 			d.Changed[fam] = append(d.Changed[fam], sig)
 		}
 	}
-	d.Multi = snap.Multi
-	return snap, d
+	d.Multi = append([]kizzle.MultiSignature(nil), s.snap.Multi...)
+	return live, d
 }
 
 // Apply reconstructs the full snapshot a delta describes from the

@@ -116,7 +116,7 @@ func TestClientDeltaEquivalence(t *testing.T) {
 	}
 
 	dm := deltaClient.Metrics()
-	if dm["fetches_delta"].(int64) != 1 {
+	if dm["fetches_delta"].(int64) != 1 || dm["delta_apply_failures"].(int64) != 0 {
 		t.Fatalf("delta path not taken: %v", dm)
 	}
 	deltaBytes := dm["wire_bytes_delta"].(int64)

@@ -21,6 +21,17 @@
 // matcher so deployments never pay for a second compile. Client.Run
 // spreads replica rounds with ±jitter so fleets do not synchronize.
 //
+// A set's identity is its canonical encoding: the update body
+// {"signatures":[...]} exactly as encoding/json writes it. SetDigest —
+// the digest attestations name and strict clients check — is its
+// SHA-256, and Publish's unchanged check compares it byte for byte. Each
+// kizzle.Signature computes its share of that encoding once, when it is
+// made, so the store, the handlers and the client build every update,
+// snapshot, delta and per-family body by concatenation instead of
+// re-encoding; the bytes are pinned to encoding/json's
+// (TestWireEncodingMatchesJSON). A changed set is compile-validated
+// before it installs; an unchanged one compiles nothing.
+//
 // Every publishing path (Publish, PublishAttested, Replace and so POST
 // /signatures) refuses a set with multi-part signatures
 // (ErrMultiUnenforced): consumers deploy only the single-run Matcher, so

@@ -60,32 +60,32 @@ func (s *Store) Handler() http.Handler {
 			}
 			since = v
 		}
-		snap, delta := s.snapshotAndDelta(since)
-		etag := versionETag(snap.Version)
+		live, delta := s.snapshotAndDelta(since)
+		etag := versionETag(live.version)
 		w.Header().Set("ETag", etag)
-		if since >= snap.Version || r.Header.Get("If-None-Match") == etag {
+		if since >= live.version || r.Header.Get("If-None-Match") == etag {
 			w.WriteHeader(http.StatusNotModified)
 			return
 		}
-		writeSetResponse(w, r, snap, delta)
+		writeSetResponse(w, r, live, delta)
 	})
 }
 
 // writeSetResponse writes one 200 signature-set response: the full
 // snapshot, or (when the client asked with delta=1 and it is smaller)
 // the per-family delta. Shared by the conditional GET handler and the
-// long-poll watch handler so both speak the identical wire format.
-func writeSetResponse(w http.ResponseWriter, r *http.Request, snap Snapshot, delta *Delta) {
-	full, err := json.Marshal(snap)
-	if err != nil {
-		http.Error(w, "encode snapshot: "+err.Error(), http.StatusInternalServerError)
-		return
-	}
-	body := full
+// long-poll watch handler so both speak the identical wire format. Both
+// bodies are concatenations of cached signature encodings, and only the
+// one served is built.
+func writeSetResponse(w http.ResponseWriter, r *http.Request, live liveSet, delta *Delta) {
+	var body []byte
 	if delta != nil && r.URL.Query().Get("delta") == "1" {
-		if db, err := json.Marshal(delta); err == nil && len(db) < len(full) {
+		if db, err := delta.appendJSON(nil); err == nil && len(db) < live.bodyLen() {
 			body = db
 		}
+	}
+	if body == nil {
+		body = live.body()
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.Write(body)
@@ -385,29 +385,19 @@ func (c *Client) fetchFrom(ctx context.Context, base string, wantDelta bool) (Sn
 	if len(body) > maxUpdateBytes {
 		return Snapshot{}, "", false, fmt.Errorf("sigdb: update exceeds %d bytes", maxUpdateBytes)
 	}
-	var probe struct {
-		IsDelta bool `json:"delta"`
-	}
-	if err := json.Unmarshal(body, &probe); err != nil {
+	var got setBody
+	if err := json.Unmarshal(body, &got); err != nil {
 		return Snapshot{}, "", false, fmt.Errorf("sigdb: decode update: %w", err)
 	}
 	etag := resp.Header.Get("ETag")
-	if !probe.IsDelta {
-		var snap Snapshot
-		if err := json.Unmarshal(body, &snap); err != nil {
-			return Snapshot{}, "", false, fmt.Errorf("sigdb: decode update: %w", err)
-		}
+	if !got.IsDelta {
 		c.wireFull.Add(int64(len(body)))
 		c.fetchesFull.Add(1)
-		return snap, etag, true, nil
-	}
-	var d Delta
-	if err := json.Unmarshal(body, &d); err != nil {
-		return Snapshot{}, "", false, fmt.Errorf("sigdb: decode delta: %w", err)
+		return got.snapshot(), etag, true, nil
 	}
 	c.wireDelta.Add(int64(len(body)))
 	c.fetchesDelta.Add(1)
-	snap, err := d.Apply(c.last)
+	snap, err := got.Delta.Apply(c.last)
 	if err != nil {
 		// An inapplicable delta (base drift, truncated history semantics)
 		// must not deploy a guess; take one full snapshot instead.
@@ -415,6 +405,19 @@ func (c *Client) fetchFrom(ctx context.Context, base string, wantDelta bool) (Sn
 		return c.fetchFrom(ctx, c.URL, false)
 	}
 	return snap, etag, true, nil
+}
+
+// setBody is a 200 response body decoded once: a full Snapshot, or —
+// when the "delta" key is true — a Delta. The two shapes share the
+// version and multi fields.
+type setBody struct {
+	Delta
+	Signatures []kizzle.Signature `json:"signatures"`
+}
+
+// snapshot returns the body's full Snapshot shape.
+func (b *setBody) snapshot() Snapshot {
+	return Snapshot{Version: b.Version, Signatures: b.Signatures, Multi: b.Multi}
 }
 
 // seedCounter de-duplicates default jitter seeds across clients created

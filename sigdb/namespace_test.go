@@ -23,7 +23,7 @@ const webkitTrainDay = 34
 // trainWebkitSignatures compiles the phishing-kit stream under the
 // webkit ingest profile with workload-namespaced known labels, the way
 // a sigserve publisher running -profile webkit does.
-func trainWebkitSignatures(t *testing.T, day int) []kizzle.Signature {
+func trainWebkitSignatures(t testing.TB, day int) []kizzle.Signature {
 	t.Helper()
 	c := kizzle.New(kizzle.WithSignatureSlack(2), kizzle.WithProfile("webkit"))
 	for _, fam := range synth.WebkitKits() {

@@ -58,15 +58,18 @@ var ErrMultiUnenforced = errors.New("sigdb: multi-part signatures are not enforc
 // prepare validates a candidate set for every publishing path — no
 // multi-part signatures (ErrMultiUnenforced), family names unambiguous,
 // served size within maxUpdateBytes (a larger set would be refused by
-// every client), compiles — and returns it as an unversioned snapshot
-// along with its update encoding, the serialized form publishes compare.
+// every client) — and returns it as an unversioned snapshot along with
+// its update encoding, the serialized form publishes compare. Whether the
+// set compiles is checked only for a set that will be installed (see
+// Replace and lockPublish), so an unchanged republish never pays for a
+// compile.
 func prepare(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (Snapshot, []byte, error) {
 	if len(multi) > 0 {
 		return Snapshot{}, nil, fmt.Errorf("%w: %d in the set", ErrMultiUnenforced, len(multi))
 	}
-	next, err := json.Marshal(update{Signatures: sigs, Multi: multi})
+	next, err := appendUpdate(nil, sigs, multi)
 	if err != nil {
-		return Snapshot{}, nil, fmt.Errorf("sigdb: marshal candidate: %w", err)
+		return Snapshot{}, nil, err
 	}
 	if size := len(next) + maxVersionField; size > maxUpdateBytes {
 		return Snapshot{}, nil, fmt.Errorf("sigdb: signature set is %d bytes on the wire, over the %d-byte limit clients accept", size, maxUpdateBytes)
@@ -77,9 +80,6 @@ func prepare(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (Snapshot, 
 	candidate := Snapshot{
 		Signatures: append([]kizzle.Signature(nil), sigs...),
 		Multi:      append([]kizzle.MultiSignature(nil), multi...),
-	}
-	if _, _, err := candidate.Matcher(); err != nil {
-		return Snapshot{}, nil, err
 	}
 	return candidate, next, nil
 }
@@ -113,9 +113,14 @@ type Store struct {
 	mu   sync.RWMutex
 	path string
 	snap Snapshot
+	// enc is snap's update encoding (see prepare): what an unchanged
+	// publish is compared against, and the body GET responses serve.
+	// Replaced, never mutated, so a reader may keep it past the lock.
+	// An empty store holds emptyUpdate.
+	enc []byte
 	// history holds family digests for the last deltaHistory versions,
 	// the server side of the delta distribution channel (see delta.go).
-	history map[int64]map[string]uint64
+	history map[int64]map[string]familyDigest
 	// certKey signs attestations (see attest.go); empty = unsigned.
 	certKey []byte
 	// attests indexes attestations by covered version; audit is the
@@ -141,13 +146,17 @@ func (s *Store) versionWatch() <-chan struct{} {
 	return s.watch
 }
 
+// emptyUpdate is the update encoding of the empty set a store serves at
+// version 0.
+var emptyUpdate = []byte(`{"signatures":null}`)
+
 // New creates an in-memory store at version 0.
-func New() *Store { return &Store{} }
+func New() *Store { return &Store{enc: emptyUpdate} }
 
 // Open loads a file-backed store; a missing file starts empty at version 0
 // and is created on the first Replace.
 func Open(path string) (*Store, error) {
-	s := &Store{path: path}
+	s := &Store{path: path, enc: emptyUpdate}
 	// Restore the audit trail first (tolerant of corruption — see
 	// loadAudit); provenance survives even when the snapshot file is gone.
 	s.loadAudit()
@@ -163,6 +172,9 @@ func Open(path string) (*Store, error) {
 	}
 	// Validate by compiling once; a corrupt store must not deploy.
 	if _, _, err := s.snap.Matcher(); err != nil {
+		return nil, err
+	}
+	if s.enc, err = appendUpdate(nil, s.snap.Signatures, s.snap.Multi); err != nil {
 		return nil, err
 	}
 	// Seed digest history so replicas already at this version get deltas
@@ -194,44 +206,84 @@ func (s *Store) Snapshot() Snapshot {
 // consumers deploy). An unchanged set returns the current version with
 // changed=false and no version bump, so steady-state recompilation loops
 // do not force every poller to re-fetch, re-validate, and recompile an
-// identical set. A changed set goes through Replace (compile-validated,
-// atomically persisted).
+// identical set. A changed set is installed like Replace installs it
+// (compile-validated, atomically persisted).
 func (s *Store) Publish(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (version int64, changed bool, err error) {
 	candidate, next, err := prepare(sigs, multi)
 	if err != nil {
 		return 0, false, err
 	}
-	// Compare and install under one write lock: a concurrent Replace
-	// between a racy check and install could otherwise make the
-	// unchanged-set decision stale (skipping a publish the live set no
-	// longer matches) or double-bump on two identical publishes.
-	s.mu.Lock()
+	changed, err = s.lockPublish(candidate, next)
+	if err != nil {
+		return 0, false, err
+	}
 	defer s.mu.Unlock()
-	cur, err := json.Marshal(update{Signatures: s.snap.Signatures, Multi: s.snap.Multi})
-	if err == nil && s.snap.Version > 0 && bytes.Equal(cur, next) {
+	if !changed {
 		return s.snap.Version, false, nil
 	}
-	version, err = s.installLocked(candidate)
+	version, err = s.installLocked(candidate, next)
 	return version, err == nil, err
+}
+
+// lockPublish takes s.mu for writing to publish candidate, whose update
+// encoding is next, and reports whether the candidate differs from the
+// live set. The final compare runs under the write lock the caller
+// installs under: a concurrent Replace between a racy check and install
+// could otherwise make the unchanged-set decision stale (skipping a
+// publish the live set no longer matches) or double-bump on two
+// identical publishes. A candidate that will be installed is compiled
+// first, outside the lock, so GETs and watchers never wait on a compile;
+// one equal to the live set is not compiled at all. On a nil error the
+// caller holds s.mu and must unlock it.
+func (s *Store) lockPublish(candidate Snapshot, next []byte) (changed bool, err error) {
+	for {
+		s.mu.RLock()
+		changed = !s.unchangedLocked(next)
+		s.mu.RUnlock()
+		if changed {
+			if _, _, err := candidate.Matcher(); err != nil {
+				return false, err
+			}
+		}
+		s.mu.Lock()
+		if now := !s.unchangedLocked(next); !now || changed {
+			return now, nil
+		}
+		// An install moved the live set off the candidate after the
+		// check above, so it was not compiled; check again.
+		s.mu.Unlock()
+	}
+}
+
+// unchangedLocked reports whether a candidate's update encoding equals
+// the live set's. Version 0 is the empty store, which a first publish
+// always replaces. Caller holds s.mu.
+func (s *Store) unchangedLocked(next []byte) bool {
+	return s.snap.Version > 0 && bytes.Equal(s.enc, next)
 }
 
 // Replace installs a new signature set, bumps the version, and (for
 // file-backed stores) persists atomically via rename. The new set is
-// validated first (see prepare): invalid signatures never reach the
-// store.
+// validated first (see prepare) and compiled: invalid signatures never
+// reach the store.
 func (s *Store) Replace(sigs []kizzle.Signature, multi []kizzle.MultiSignature) (int64, error) {
-	candidate, _, err := prepare(sigs, multi)
+	candidate, next, err := prepare(sigs, multi)
 	if err != nil {
+		return 0, err
+	}
+	if _, _, err := candidate.Matcher(); err != nil {
 		return 0, err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.installLocked(candidate)
+	return s.installLocked(candidate, next)
 }
 
-// installLocked bumps the version, persists file-backed stores atomically
-// via rename, and swaps in the candidate. Caller holds s.mu.
-func (s *Store) installLocked(candidate Snapshot) (int64, error) {
+// installLocked bumps the version, persists file-backed stores
+// atomically via rename, and swaps in the candidate — already compiled
+// by the caller, as a set that does not compile never installs — with
+// its update encoding enc. Caller holds s.mu.
+func (s *Store) installLocked(candidate Snapshot, enc []byte) (int64, error) {
 	candidate.Version = s.snap.Version + 1
 	if s.path != "" {
 		data, err := json.MarshalIndent(candidate, "", "  ")
@@ -246,7 +298,7 @@ func (s *Store) installLocked(candidate Snapshot) (int64, error) {
 			return 0, fmt.Errorf("sigdb: rename: %w", err)
 		}
 	}
-	s.snap = candidate
+	s.snap, s.enc = candidate, enc
 	s.recordHistoryLocked()
 	if s.watch != nil {
 		// Wake every parked watcher; the next subscriber gets a fresh

@@ -20,7 +20,7 @@ import (
 )
 
 // trainSignatures produces a real signature set from the synthetic stream.
-func trainSignatures(t *testing.T, day int) []kizzle.Signature {
+func trainSignatures(t testing.TB, day int) []kizzle.Signature {
 	t.Helper()
 	c := kizzle.New(kizzle.WithSignatureSlack(2))
 	for _, fam := range synth.Kits() {
@@ -125,6 +125,99 @@ func TestStoreRejectsInvalid(t *testing.T) {
 	}
 	if s.Version() != 0 {
 		t.Error("failed replace must not bump the version")
+	}
+}
+
+// TestStorePublishRejectsInvalid pins that Publish and PublishAttested,
+// which compile a candidate only once it differs from the live set, still
+// refuse a set that does not compile — on an empty store and over a
+// serving version, which keeps serving with no audit record appended.
+func TestStorePublishRejectsInvalid(t *testing.T) {
+	var bad kizzle.Signature
+	good := trainSignatures(t, synth.Date(time.August, 5))
+	for _, tc := range []struct {
+		name    string
+		publish func(*Store, []kizzle.Signature) error
+	}{
+		{"Publish", func(s *Store, sigs []kizzle.Signature) error { _, _, err := s.Publish(sigs, nil); return err }},
+		{"PublishAttested", func(s *Store, sigs []kizzle.Signature) error {
+			_, _, _, err := s.PublishAttested(sigs, nil, "corpus", testPrimaryPath, testVerifyPath)
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			if err := tc.publish(s, []kizzle.Signature{bad}); err == nil {
+				t.Fatal("invalid signature set published on an empty store")
+			}
+			if s.Version() != 0 {
+				t.Fatalf("failed publish moved the store to v%d", s.Version())
+			}
+			if err := tc.publish(s, good); err != nil {
+				t.Fatal(err)
+			}
+			audit := len(s.AuditRecords())
+			if err := tc.publish(s, append(append([]kizzle.Signature(nil), good...), bad)); err == nil {
+				t.Fatal("invalid signature set published over v1")
+			}
+			if s.Version() != 1 || len(s.AuditRecords()) != audit {
+				t.Fatalf("failed publish moved the store to v%d with %d audit records, want v1 with %d", s.Version(), len(s.AuditRecords()), audit)
+			}
+			if v, changed, err := s.Publish(good, nil); err != nil || v != 1 || changed {
+				t.Fatalf("republishing the serving set = (v%d, changed=%v, %v), want (v1, false, nil)", v, changed, err)
+			}
+		})
+	}
+}
+
+// TestStoreConcurrentPublishes races publishes of two valid sets and an
+// invalid one against each other: every publish that reports a change
+// bumps the version by exactly one, the invalid set never installs, and
+// the live set is always one of the valid two — whichever way the
+// unchanged check outside the write lock and the one under it fall.
+func TestStoreConcurrentPublishes(t *testing.T) {
+	a := trainSignatures(t, synth.Date(time.August, 5))
+	b := a[:len(a)-1]
+	var bad kizzle.Signature
+	invalid := append(append([]kizzle.Signature(nil), a...), bad)
+	s := New()
+	var wg sync.WaitGroup
+	var changes atomic.Int64
+	for g := 0; g < 3; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 12; i++ {
+				sigs := a
+				switch (g + i) % 3 {
+				case 1:
+					sigs = b
+				case 2:
+					if _, _, err := s.Publish(invalid, nil); err == nil {
+						t.Error("invalid set published")
+					}
+					continue
+				}
+				if _, changed, err := s.Publish(sigs, nil); err != nil {
+					t.Error(err)
+				} else if changed {
+					changes.Add(1)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := s.Version(); got != changes.Load() {
+		t.Fatalf("store at v%d after %d changed publishes", got, changes.Load())
+	}
+	live, err := s.Snapshot().SetDigest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	da, _ := SetDigest(a, nil)
+	db, _ := SetDigest(b, nil)
+	if live != da && live != db {
+		t.Fatal("live set is neither published valid set")
 	}
 }
 

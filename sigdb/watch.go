@@ -58,10 +58,10 @@ func (s *Store) watchHandler(maxWait time.Duration) http.Handler {
 			// between the two closes the channel we are about to park on,
 			// so it can never be missed.
 			changed := s.versionWatch()
-			snap, delta := s.snapshotAndDelta(since)
-			if snap.Version > since {
-				w.Header().Set("ETag", versionETag(snap.Version))
-				writeSetResponse(w, r, snap, delta)
+			live, delta := s.snapshotAndDelta(since)
+			if live.version > since {
+				w.Header().Set("ETag", versionETag(live.version))
+				writeSetResponse(w, r, live, delta)
 				return
 			}
 			select {
@@ -69,7 +69,7 @@ func (s *Store) watchHandler(maxWait time.Duration) http.Handler {
 			case <-r.Context().Done():
 				return
 			case <-deadline.C:
-				w.Header().Set("ETag", versionETag(snap.Version))
+				w.Header().Set("ETag", versionETag(live.version))
 				w.WriteHeader(http.StatusNotModified)
 				return
 			}
