@@ -128,8 +128,7 @@ func TestFleetE2E(t *testing.T) {
 		deploy(snap)
 		go r.client.Run(ctx, time.Hour, deploy, nil)
 
-		r.admit = gateway.NewAdmitter(r.vetter, 32, 200*time.Microsecond)
-		defer r.admit.Close()
+		r.admit = gateway.NewAdmitter(r.vetter, 0, 0)
 		r.admit.UseSharedStore(cache)
 		proxy := gateway.NewProxy(originURL, r.vetter)
 		proxy.UseAdmitter(r.admit)

@@ -6,19 +6,19 @@
 // while a long tail trickles.
 //
 // By default it hosts the full stack in-process (a synthetic-corpus
-// origin behind a gateway.Proxy with admission batching) so the numbers
-// include proxying, body pooling, and coalescing. With -replicas N it
-// hosts N independent gateway replicas — each with its own matcher,
-// proxy, and admitter, all sharing one fleet verdict cache — behind a
-// round-robin front, and reports per-replica latency alongside the
-// fleet-wide percentiles. Point -target at a running kizzlegate to load
-// an external deployment instead; its upstream should serve scannable
-// documents under /<n> paths.
+// origin behind a gateway.Proxy and its gateway.Admitter) so the numbers
+// include proxying, body pooling, and in-flight coalescing. With
+// -replicas N it hosts N independent gateway replicas — each with its
+// own matcher, proxy, and admitter, all sharing one fleet verdict cache
+// — behind a round-robin front, and reports per-replica latency
+// alongside the fleet-wide percentiles. Point -target at a running
+// kizzlegate to load an external deployment instead; its upstream should
+// serve scannable documents under /<n> paths.
 //
 // Usage:
 //
 //	gateload [-duration 10s] [-clients 32] [-rps 0] [-zipf 1.5]
-//	         [-replicas 1] [-batchdocs 32] [-target http://gate:8080]
+//	         [-replicas 1] [-target http://gate:8080]
 //
 // The report is one JSON object on stdout; -rps 0 runs closed-loop at
 // maximum speed, -rps N paces an open loop whose aggregate rate peaks
@@ -91,8 +91,6 @@ func run(args []string, out io.Writer) error {
 	clients := fs.Int("clients", 32, "concurrent clients")
 	peak := fs.Float64("rps", 0, "peak aggregate request rate of the diurnal cycle (0 = closed loop)")
 	skew := fs.Float64("zipf", 1.5, "zipf exponent of document popularity (hot-key skew)")
-	batchDocs := fs.Int("batchdocs", 32, "in-process admission micro-batch size (0 disables)")
-	batchWait := fs.Duration("batchwait", 500*time.Microsecond, "in-process admission window")
 	day := fs.Int("day", synth.Date(time.August, 5), "synthetic corpus day")
 	replicas := fs.Int("replicas", 1, "in-process gateway replicas behind the round-robin front")
 	if err := fs.Parse(args); err != nil {
@@ -146,7 +144,7 @@ func run(args []string, out io.Writer) error {
 		defer origin.close()
 		// One shared verdict cache across the fleet: the cross-replica
 		// analogue of the admitter's in-flight coalescing.
-		if *replicas > 1 && *batchDocs > 0 {
+		if *replicas > 1 {
 			cache = verdictcache.New(0)
 		}
 		// A typed-nil *Cache must not reach the Store interface: an
@@ -156,7 +154,7 @@ func run(args []string, out io.Writer) error {
 			store = cache
 		}
 		for i := 0; i < *replicas; i++ {
-			r, err := newReplica(*day, origin.url, *batchDocs, *batchWait, store)
+			r, err := newReplica(*day, origin.url, store)
 			if err != nil {
 				return err
 			}
@@ -243,20 +241,16 @@ func run(args []string, out io.Writer) error {
 	rep.MaxUS = q(1)
 	if len(fleet) == 1 {
 		// Single replica: keep the flat report shape earlier tooling reads.
-		if fleet[0].admit != nil {
-			rep.Admitter = fleet[0].admit.Metrics()
-		}
+		rep.Admitter = fleet[0].admit.Metrics()
 		rep.Vetter = fleet[0].vetter.Metrics()
 	} else if len(fleet) > 1 {
 		rep.Replicas = len(fleet)
 		for i, r := range fleet {
 			entry := map[string]any{
-				"replica": i,
-				"vetter":  r.vetter.Metrics(),
-				"latency": r.lat.Summary(),
-			}
-			if r.admit != nil {
-				entry["admitter"] = r.admit.Metrics()
+				"replica":  i,
+				"vetter":   r.vetter.Metrics(),
+				"admitter": r.admit.Metrics(),
+				"latency":  r.lat.Summary(),
 			}
 			rep.Fleet = append(rep.Fleet, entry)
 		}
@@ -280,19 +274,14 @@ type replica struct {
 	lat    *servemetrics.Hist
 }
 
-func (r *replica) close() {
-	r.front.close()
-	if r.admit != nil {
-		r.admit.Close()
-	}
-}
+func (r *replica) close() { r.front.close() }
 
 // newReplica builds one gateway replica over the shared origin. Each
 // replica compiles its own matcher from the day's trained signatures
 // (the fleet analogue of N kizzlegate processes deploying the same
 // version) and, when store is non-nil, plugs into the fleet-shared
 // verdict cache.
-func newReplica(day int, origin *url.URL, batchDocs int, batchWait time.Duration, store verdictcache.Store) (*replica, error) {
+func newReplica(day int, origin *url.URL, store verdictcache.Store) (*replica, error) {
 	sigs, err := daySignatures(day)
 	if err != nil {
 		return nil, err
@@ -303,23 +292,18 @@ func newReplica(day int, origin *url.URL, batchDocs int, batchWait time.Duration
 	}
 	r := &replica{vetter: gateway.NewVetter(m), lat: &servemetrics.Hist{}}
 	r.vetter.SetVersion(1)
-	proxy := gateway.NewProxy(origin, r.vetter)
-	if batchDocs > 0 {
-		r.admit = gateway.NewAdmitter(r.vetter, batchDocs, batchWait)
-		if store != nil {
-			r.admit.UseSharedStore(store)
-		}
-		proxy.UseAdmitter(r.admit)
+	r.admit = gateway.NewAdmitter(r.vetter, 0, 0)
+	if store != nil {
+		r.admit.UseSharedStore(store)
 	}
+	proxy := gateway.NewProxy(origin, r.vetter)
+	proxy.UseAdmitter(r.admit)
 	r.front, err = serve(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		t0 := time.Now()
 		proxy.ServeHTTP(w, req)
 		r.lat.Observe(time.Since(t0))
 	}))
 	if err != nil {
-		if r.admit != nil {
-			r.admit.Close()
-		}
 		return nil, err
 	}
 	return r, nil

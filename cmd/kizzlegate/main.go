@@ -7,10 +7,10 @@
 // watch stream (a publish reaches every replica in ~1 RTT), which
 // becomes jittered conditional polling at -poll against a server without
 // the watch endpoint. Updates travel as per-family deltas, so a one-kit
-// update moves and recompiles one kit. Concurrent admissions coalesce
-// into micro-batches that scan each distinct in-flight document once;
-// with -verdicts, replicas also share scan verdicts through a fleet
-// cache so a hot document is scanned once fleet-wide.
+// update moves and recompiles one kit. Each response is decided as it
+// arrives; identical responses in flight at the same moment share one
+// scan, and with -verdicts replicas also share scan verdicts through a
+// fleet cache so a hot document is scanned once fleet-wide.
 //
 // Usage:
 //
@@ -18,7 +18,7 @@
 //	           [-sigfile sigs.json] [-sigurl http://sigserver/signatures] \
 //	           [-poll 1m] [-jitter 0.1] \
 //	           [-verdicts http://sigserver/verdicts] [-verdictkey SECRET] \
-//	           [-batchdocs 32] [-batchwait 500us] [-metricslisten :8081]
+//	           [-metricslisten :8081]
 package main
 
 import (
@@ -57,8 +57,6 @@ func run(args []string, ready chan<- http.Handler) error {
 	jitter := fs.Float64("jitter", 0.1, "update-loop jitter fraction (±), spreads replica requests")
 	verdictsURL := fs.String("verdicts", "", "shared verdict cache URL (e.g. http://sigserver/verdicts); empty disables fleet verdict sharing")
 	verdictKey := fs.String("verdictkey", "", "HMAC key for signing shared verdict publishes (the publisher's -verdictkey)")
-	batchDocs := fs.Int("batchdocs", 32, "admission micro-batch size (0 disables batching)")
-	batchWait := fs.Duration("batchwait", 500*time.Microsecond, "admission window: how long the first document waits for company")
 	metricsListen := fs.String("metricslisten", "", "admin address to serve /metrics on (empty disables)")
 	strict := fs.Bool("strict", false, "refuse uncertified signature updates: every fetched set must carry a verifiable attestation")
 	certKey := fs.String("certkey", "", "HMAC key for verifying attestation signatures (share with the publisher)")
@@ -77,9 +75,6 @@ func run(args []string, ready chan<- http.Handler) error {
 	}
 	if !*strict && (*certKey != "" || *attestURL != "") {
 		return fmt.Errorf("-certkey/-attesturl require -strict")
-	}
-	if *verdictsURL != "" && *batchDocs <= 0 {
-		return fmt.Errorf("-verdicts requires admission batching (-batchdocs > 0)")
 	}
 	if *verdictKey != "" && *verdictsURL == "" {
 		return fmt.Errorf("-verdictkey requires -verdicts")
@@ -163,27 +158,21 @@ func run(args []string, ready chan<- http.Handler) error {
 	}
 
 	proxy := gateway.NewProxy(target, vetter)
-	var admit *gateway.Admitter
+	admit := gateway.NewAdmitter(vetter, 0, 0)
 	var verdicts *verdictcache.HTTPStore
-	if *batchDocs > 0 {
-		admit = gateway.NewAdmitter(vetter, *batchDocs, *batchWait)
-		defer admit.Close()
-		if *verdictsURL != "" {
-			verdicts = &verdictcache.HTTPStore{URL: *verdictsURL, Key: []byte(*verdictKey)}
-			admit.UseSharedStore(verdicts)
-			log.Printf("sharing verdicts through %s", *verdictsURL)
-		}
-		proxy.UseAdmitter(admit)
+	if *verdictsURL != "" {
+		verdicts = &verdictcache.HTTPStore{URL: *verdictsURL, Key: []byte(*verdictKey)}
+		admit.UseSharedStore(verdicts)
+		log.Printf("sharing verdicts through %s", *verdictsURL)
 	}
+	proxy.UseAdmitter(admit)
 
 	metrics := servemetrics.Handler(func() map[string]any {
 		out := map[string]any{
-			"vetter":  vetter.Metrics(),
-			"proxy":   proxy.Metrics(),
-			"runtime": servemetrics.RuntimeStats(),
-		}
-		if admit != nil {
-			out["admitter"] = admit.Metrics()
+			"vetter":   vetter.Metrics(),
+			"admitter": admit.Metrics(),
+			"proxy":    proxy.Metrics(),
+			"runtime":  servemetrics.RuntimeStats(),
 		}
 		if client != nil {
 			out["sigclient"] = client.Metrics()

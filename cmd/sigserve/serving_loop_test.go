@@ -87,11 +87,12 @@ func vetDay(t *testing.T, snap sigdb.Snapshot, docs []string) []gateway.Decision
 	if err != nil {
 		t.Fatal(err)
 	}
-	views := make([][]byte, len(docs))
+	v := gateway.NewVetter(m)
+	out := make([]gateway.Decision, len(docs))
 	for i, d := range docs {
-		views[i] = []byte(d)
+		out[i] = v.VetBytes([]byte(d))
 	}
-	return gateway.NewVetter(m).VetAllBytes(views)
+	return out
 }
 
 // TestServingLoopEndToEnd drives the full publishing loop at three fleet

@@ -12,42 +12,37 @@ import (
 	"kizzle/internal/zerocopy"
 )
 
-// Admitter coalesces concurrent admission checks into micro-batches.
+// Admitter decides admissions on arrival and shares the work of identical
+// documents that are in flight at the same moment.
 //
-// Two effects pay for the sub-millisecond queueing delay it adds. First,
-// a batch rides one VetAllBytes call, so a burst of concurrent responses
-// costs one worker-pool dispatch instead of one lock/dispatch per
-// response. Second — the dominant effect under real traffic — identical
-// in-flight documents are detected inside the window and scanned once:
-// provider traffic is hot-key skewed (many users fetch the same landing
-// page at the same moment), so a 32-document window is mostly duplicates
-// and the scan work per admitted response collapses. Decisions are
-// identical to per-document vetting: duplicates are verified byte-for-
-// byte (a digest alone only nominates candidates), and every request
-// still receives its own Decision.
+// No request waits for company: VetBytes decides its document on the
+// caller's goroutine. It pins the vetter's running signature set and
+// version once, consults the shared verdict store (when one is plugged
+// in), scans on a miss, and publishes the fresh verdict under the pinned
+// version. A request whose document is byte-identical to one already
+// being decided under the same pinned set joins that flight and takes
+// its decision instead of scanning again; provider traffic is hot-key
+// skewed, so the hottest landing pages are the ones most often in
+// flight twice. Decisions are identical to per-document vetting:
+// duplicates are verified byte-for-byte (a digest alone only nominates
+// candidates), and every request still receives its own Decision.
 //
 // Buffer ownership follows VetBytes: the caller's document is only read
-// until its VetBytes call returns, so pooled proxy buffers stay safe.
+// until its VetBytes call returns, so pooled proxy buffers stay safe. A
+// flight's leader withdraws the flight, and waits out any comparison
+// against its document, before it returns.
 type Admitter struct {
-	v        *Vetter
-	maxBatch int
-	maxWait  time.Duration
+	v *Vetter
 	// shared, when set by UseSharedStore, extends duplicate detection
 	// across the fleet: verdicts for this matcher version computed by any
 	// replica are consulted before a local scan.
 	shared verdictcache.Store
 
-	reqs chan admitReq
-	done chan struct{}
-	wg   sync.WaitGroup
-	// closeMu fences enqueues against Close: a request holds the read
-	// side across its send, so once Close holds the write side no request
-	// can slip into a queue nobody serves.
-	closeMu sync.RWMutex
-	closed  bool
+	mu      sync.Mutex
+	flights map[flightKey]*flight
 
 	requests      atomic.Int64
-	batches       atomic.Int64
+	leads         atomic.Int64
 	coalesced     atomic.Int64
 	sharedHits    atomic.Int64
 	sharedPuts    atomic.Int64
@@ -55,231 +50,135 @@ type Admitter struct {
 	lat           servemetrics.Hist
 }
 
-type admitReq struct {
-	doc  []byte
-	resp chan Decision
+// flightKey names one in-flight decision: the pinned signature set (a
+// hot swap or a version change installs a new one, so a later request
+// never joins a flight on a set that is no longer running) and the
+// document's XXH64 digest, which only nominates joiners.
+type flightKey struct {
+	set    *armedSet
+	digest uint64
 }
 
-// NewAdmitter starts an admitter in front of v. maxBatch bounds the
-// documents per micro-batch and maxWait the time the first document in a
-// window waits for company; zero or negative values take the defaults
-// (32 documents, 500µs). Close releases the admitter's goroutine.
+// flight is one document being decided. doc is the leader's buffer; it
+// stays valid until the leader returns, which it does only after the
+// flight has left the map and every joiner has finished comparing.
+type flight struct {
+	doc       []byte
+	done      chan struct{}
+	d         Decision
+	comparing sync.WaitGroup
+}
+
+// NewAdmitter builds an admitter in front of v. maxBatch and maxWait are
+// ignored: they sized the collection window of an earlier admitter that
+// made each document wait for company, and remain only so existing
+// callers keep compiling.
 func NewAdmitter(v *Vetter, maxBatch int, maxWait time.Duration) *Admitter {
-	if maxBatch <= 0 {
-		maxBatch = 32
-	}
-	if maxWait <= 0 {
-		maxWait = 500 * time.Microsecond
-	}
-	a := &Admitter{
-		v:        v,
-		maxBatch: maxBatch,
-		maxWait:  maxWait,
-		reqs:     make(chan admitReq, maxBatch),
-		done:     make(chan struct{}),
-	}
-	a.wg.Add(1)
-	go a.loop()
-	return a
+	return &Admitter{v: v, flights: make(map[flightKey]*flight)}
 }
 
-// VetBytes submits one document for admission and blocks for its
-// decision. After Close it degrades to a direct (unbatched) vet, so
-// in-flight and late callers always get a decision.
+// VetBytes decides one document: it joins an identical in-flight
+// document's decision when there is one, and decides the document itself
+// otherwise.
 func (a *Admitter) VetBytes(doc []byte) Decision {
 	a.requests.Add(1)
 	start := time.Now()
-	d, ok := a.submit(doc)
-	if !ok {
-		d = a.v.VetBytes(doc)
-	}
+	d := a.admit(doc)
 	a.lat.Observe(time.Since(start))
 	return d
 }
 
-// submit enqueues one document and waits for its decision; ok reports
-// false once the admitter is closed. Holding closeMu across the send
-// guarantees the collection loop is still alive to serve it — Close
-// cannot take the write side, and so cannot stop the loop, while any
-// enqueue is in flight.
-func (a *Admitter) submit(doc []byte) (Decision, bool) {
-	a.closeMu.RLock()
-	if a.closed {
-		a.closeMu.RUnlock()
-		return Decision{}, false
-	}
-	r := admitReq{doc: doc, resp: make(chan Decision, 1)}
-	a.reqs <- r
-	a.closeMu.RUnlock()
-	return <-r.resp, true
-}
-
-// Close stops the collection loop, waits for queued documents to be
-// decided, and makes future VetBytes calls vet directly. Must be called
-// at most once; the admitter keeps serving (unbatched) after.
-func (a *Admitter) Close() {
-	a.closeMu.Lock()
-	a.closed = true
-	a.closeMu.Unlock()
-	close(a.done)
-	a.wg.Wait()
-}
-
-// loop collects windows of requests and dispatches each as one batch.
-func (a *Admitter) loop() {
-	defer a.wg.Done()
-	for {
-		select {
-		case first := <-a.reqs:
-			a.dispatch(a.collect(first))
-		case <-a.done:
-			// Drain whatever made it into the queue before Close; their
-			// senders are parked on resp channels.
-			for {
-				select {
-				case r := <-a.reqs:
-					a.dispatch(a.collect(r))
-				default:
-					return
-				}
-			}
-		}
-	}
-}
-
-// collect gathers one micro-batch: the first request plus whatever
-// arrives within maxWait, capped at maxBatch.
-func (a *Admitter) collect(first admitReq) []admitReq {
-	batch := make([]admitReq, 1, a.maxBatch)
-	batch[0] = first
-	timer := time.NewTimer(a.maxWait)
-	defer timer.Stop()
-	for len(batch) < a.maxBatch {
-		select {
-		case r := <-a.reqs:
-			batch = append(batch, r)
-		case <-timer.C:
-			return batch
-		case <-a.done:
-			return batch
-		}
-	}
-	return batch
-}
+// Close has nothing left to drain: every request is decided on its own
+// goroutine, and the admitter keeps serving after Close.
+func (a *Admitter) Close() {}
 
 // UseSharedStore plugs a fleet-wide verdict store into the admitter:
-// before a batch's unique documents are scanned locally, each is looked
-// up by (matcher version, content digest), and verdicts the local scan
-// produces are published back for the other replicas — under the same
-// version pin, so a signature update landing mid-batch can never leak a
-// stale verdict into the fleet. Call before serving; decisions stay
-// byte-identical to the unshared path because an entry only ever answers
-// for the exact matcher version that computed it, and only when its
-// SHA-256 content sum matches the document in hand — the 64-bit cache
-// key alone nominates candidates exactly as in-batch coalescing does,
-// where bytes.Equal plays the same role.
+// before a document is scanned locally it is looked up by (matcher
+// version, content digest), and the verdict the local scan produces is
+// published back for the other replicas — under the version pinned
+// together with the scanner that computed it, so a signature update
+// landing mid-decision can never leak a stale verdict into the fleet.
+// Call before serving; decisions stay byte-identical to the unshared
+// path because an entry only ever answers for the exact matcher version
+// that computed it, and only when its SHA-256 content sum matches the
+// document in hand — the 64-bit cache key alone nominates candidates
+// exactly as in-flight coalescing does, where bytes.Equal plays the same
+// role.
 func (a *Admitter) UseSharedStore(s verdictcache.Store) { a.shared = s }
 
-// dispatch scans a batch's unique documents once and fans decisions back
-// out to every request.
-func (a *Admitter) dispatch(batch []admitReq) {
-	a.batches.Add(1)
-	docs := make([][]byte, 0, len(batch))
-	digests := make([]uint64, 0, len(batch))
-	slot := make([]int, len(batch))
-	byDigest := make(map[uint64][]int, len(batch))
-	for i, r := range batch {
-		d := contentcache.Digest(zerocopy.String(r.doc))
-		dup := -1
-		for _, j := range byDigest[d] {
-			if bytes.Equal(docs[j], r.doc) {
-				dup = j
-				break
-			}
-		}
-		if dup >= 0 {
-			slot[i] = dup
+// admit pins the running set, then joins or leads the flight for doc.
+func (a *Admitter) admit(doc []byte) Decision {
+	key := flightKey{set: a.v.pin(), digest: contentcache.Digest(zerocopy.String(doc))}
+	a.mu.Lock()
+	if f, ok := a.flights[key]; ok {
+		f.comparing.Add(1)
+		a.mu.Unlock()
+		same := bytes.Equal(f.doc, doc)
+		f.comparing.Done()
+		if same {
 			a.coalesced.Add(1)
-			continue
+			<-f.done
+			return f.d
 		}
-		docs = append(docs, r.doc)
-		digests = append(digests, d)
-		byDigest[d] = append(byDigest[d], len(docs)-1)
-		slot[i] = len(docs) - 1
+		// A digest collision with a different document in flight: decide
+		// this one alone rather than queue behind a stranger.
+		return a.decide(key, doc)
 	}
-	decisions := a.decideAll(docs, digests)
-	for i, r := range batch {
-		r.resp <- decisions[slot[i]]
-	}
+	f := &flight{doc: doc, done: make(chan struct{})}
+	a.flights[key] = f
+	a.mu.Unlock()
+
+	f.d = a.decide(key, doc)
+	close(f.done)
+	a.mu.Lock()
+	delete(a.flights, key)
+	a.mu.Unlock()
+	f.comparing.Wait()
+	return f.d
 }
 
-// decideAll resolves a batch's unique documents to decisions: shared
-// verdict store first (when configured and the matcher version is
-// known), local scan for the misses, then version-pinned publication of
-// the freshly scanned verdicts. A shared entry answers only when its
-// SHA-256 content sum matches the document in hand: the XXH64 cache key
-// is attacker-collidable, so serving on bare key equality would let a
+// decide resolves one document under the pinned set: shared verdict
+// store first (when configured and the pinned set has a version), local
+// scan on a miss, then publication of the fresh verdict under that same
+// version. A shared entry answers only when its SHA-256 content sum
+// matches the document in hand: the XXH64 cache key is
+// attacker-collidable, so serving on bare key equality would let a
 // crafted benign/malicious digest pair turn a cached clean verdict into
 // a fleet-wide scanner bypass.
-func (a *Admitter) decideAll(docs [][]byte, digests []uint64) []Decision {
-	shared := a.shared
-	var ver int64
-	if shared != nil {
-		ver = a.v.Version()
+func (a *Admitter) decide(key flightKey, doc []byte) Decision {
+	a.leads.Add(1)
+	set, shared := key.set, a.shared
+	if shared == nil || set.scanner == nil || set.version <= 0 {
+		// No store, nothing armed, or no version to pin entries to — an
+		// unpinned verdict could survive a signature update.
+		return a.v.vet(set.scanner, doc)
 	}
-	if shared == nil || ver <= 0 {
-		// No store, or no recorded matcher version to pin entries to —
-		// an unpinned verdict could survive a signature update.
-		return a.v.VetAllBytes(docs)
-	}
-	out := make([]Decision, len(docs))
-	sums := make([]string, len(docs))
-	for i := range docs {
-		sums[i] = verdictcache.ContentSum(docs[i])
-	}
-	toScan := docs[:0:0]
-	idx := make([]int, 0, len(docs))
-	for i := range docs {
-		if v, ok := shared.Get(ver, digests[i]); ok {
-			if v.Sum == sums[i] {
-				out[i] = Decision{Blocked: v.Blocked, Family: v.Family}
-				a.sharedHits.Add(1)
-				continue
-			}
-			// The key nominated an entry computed for different content —
-			// a digest collision (accidental or adversarial) or a corrupt
-			// store. Either way the verdict does not cover these bytes.
-			a.sharedRejects.Add(1)
+	sum := verdictcache.ContentSum(doc)
+	if e, ok := shared.Get(set.version, key.digest); ok {
+		if e.Sum == sum {
+			a.sharedHits.Add(1)
+			return Decision{Blocked: e.Blocked, Family: e.Family}
 		}
-		toScan = append(toScan, docs[i])
-		idx = append(idx, i)
+		// The key nominated an entry computed for different content — a
+		// digest collision (accidental or adversarial) or a corrupt
+		// store. Either way the verdict does not cover these bytes.
+		a.sharedRejects.Add(1)
 	}
-	if len(toScan) == 0 {
-		return out
-	}
-	scanned := a.v.VetAllBytes(toScan)
-	// Publish only if the vetter still runs the version the lookups were
-	// pinned to: a hot-swap mid-batch means these verdicts may have been
-	// computed by either set, and neither pin would be trustworthy.
-	if a.v.Version() == ver {
-		for j, d := range scanned {
-			shared.Put(ver, digests[idx[j]], verdictcache.Verdict{Blocked: d.Blocked, Family: d.Family, Sum: sums[idx[j]]})
-			a.sharedPuts.Add(1)
-		}
-	}
-	for j, d := range scanned {
-		out[idx[j]] = d
-	}
-	return out
+	d := a.v.vet(set.scanner, doc)
+	shared.Put(set.version, key.digest, verdictcache.Verdict{Blocked: d.Blocked, Family: d.Family, Sum: sum})
+	a.sharedPuts.Add(1)
+	return d
 }
 
-// Metrics returns the admitter's /metrics fields: request, batch, and
-// coalesced-duplicate counts plus the end-to-end admission latency
-// (queueing included) summary.
+// Metrics returns the admitter's /metrics fields: requests; batches, the
+// requests that led their own decision (a shared-store lookup and, on a
+// miss, a scan); coalesced, the requests that joined another request's
+// in-flight decision; the shared-store counters; and the end-to-end
+// admission latency summary.
 func (a *Admitter) Metrics() map[string]any {
 	return map[string]any{
 		"requests":          a.requests.Load(),
-		"batches":           a.batches.Load(),
+		"batches":           a.leads.Load(),
 		"coalesced":         a.coalesced.Load(),
 		"shared_hits":       a.sharedHits.Load(),
 		"shared_puts":       a.sharedPuts.Load(),

@@ -10,14 +10,15 @@ import (
 	"testing"
 	"time"
 
+	"kizzle"
 	"kizzle/internal/contentcache"
 	"kizzle/internal/verdictcache"
 	"kizzle/synth"
 )
 
-// TestVetBytesMatchesVet pins the zero-copy entry points against the
-// matcher's string path: VetBytes and VetAllBytes decide exactly what a
-// direct Scan of the same document decides.
+// TestVetBytesMatchesVet pins the zero-copy entry point against the
+// matcher's string path: VetBytes decides exactly what a direct Scan of
+// the same document decides.
 func TestVetBytesMatchesVet(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	m := buildMatcher(t, day)
@@ -47,15 +48,10 @@ func TestVetBytesMatchesVet(t *testing.T) {
 			t.Fatalf("doc %d: VetBytes %+v vs Scan %+v", i, got, want[i])
 		}
 	}
-	for i, got := range NewVetter(m).VetAllBytes(byteDocs) {
-		if got != want[i] {
-			t.Fatalf("doc %d: VetAllBytes %+v vs Scan %+v", i, got, want[i])
-		}
-	}
 }
 
-// TestAdmitterMatchesDirect is the batched≡per-document differential:
-// concurrent admissions through the batcher must produce exactly the
+// TestAdmitterMatchesDirect is the admitted≡per-document differential:
+// concurrent admissions through the admitter must produce exactly the
 // decisions direct vetting produces, document for document.
 func TestAdmitterMatchesDirect(t *testing.T) {
 	day := synth.Date(time.August, 5)
@@ -78,8 +74,7 @@ func TestAdmitterMatchesDirect(t *testing.T) {
 	}
 
 	v := NewVetter(m)
-	a := NewAdmitter(v, 8, 200*time.Microsecond)
-	defer a.Close()
+	a := NewAdmitter(v, 0, 0)
 	got := make([]Decision, len(docs))
 	var wg sync.WaitGroup
 	for i := range docs {
@@ -92,58 +87,197 @@ func TestAdmitterMatchesDirect(t *testing.T) {
 	wg.Wait()
 	for i := range docs {
 		if got[i] != want[i] {
-			t.Fatalf("doc %d: batched %+v vs direct %+v", i, got[i], want[i])
+			t.Fatalf("doc %d: admitted %+v vs direct %+v", i, got[i], want[i])
 		}
 	}
 }
 
-// TestAdmitterCoalescesDuplicates: identical in-flight documents must be
-// scanned once per window, and every request must still get the right
-// decision.
-func TestAdmitterCoalescesDuplicates(t *testing.T) {
-	day := synth.Date(time.August, 5)
-	v := NewVetter(buildMatcher(t, day))
-	// A long window so one batch holds the whole burst.
-	a := NewAdmitter(v, 64, 50*time.Millisecond)
-	defer a.Close()
+// heldScanner is a signature set whose scans block until the test
+// releases them: it makes "in flight at the same moment" a state the test
+// sets up instead of a timing it hopes for. Every scan announces its
+// document on entered before it blocks; entered is buffered beyond any
+// test's scan count so announcing never blocks a scan.
+type heldScanner struct {
+	inner   Scanner
+	entered chan []byte
+	release chan struct{}
+}
 
-	kit := []byte(kitDoc(t, day))
-	const n = 32
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if d := a.VetBytes(kit); !d.Blocked || d.Family != "Angler" {
-				t.Errorf("coalesced decision = %+v", d)
-			}
-		}()
-	}
-	wg.Wait()
-	scanned, blocked := v.Stats()
-	if scanned >= n {
-		t.Errorf("scanned %d documents for %d identical requests; coalescing had no effect", scanned, n)
-	}
-	if blocked < 1 || blocked != scanned {
-		t.Errorf("blocked = %d with %d scans", blocked, scanned)
-	}
-	mtr := a.Metrics()
-	if mtr["requests"].(int64) != n {
-		t.Errorf("requests metric = %v, want %d", mtr["requests"], n)
-	}
-	if mtr["coalesced"].(int64) != n-scanned {
-		t.Errorf("coalesced metric = %v, want %d", mtr["coalesced"], n-scanned)
+func newHeldScanner(inner Scanner) *heldScanner {
+	return &heldScanner{inner: inner, entered: make(chan []byte, 64), release: make(chan struct{})}
+}
+
+func (h *heldScanner) ScanBytes(doc []byte) []kizzle.Match {
+	h.entered <- doc
+	<-h.release
+	return h.inner.ScanBytes(doc)
+}
+
+// awaitScan waits for the next held scan to start and returns its
+// document.
+func (h *heldScanner) awaitScan(t *testing.T) []byte {
+	t.Helper()
+	select {
+	case doc := <-h.entered:
+		return doc
+	case <-time.After(10 * time.Second):
+		t.Fatal("no scan started")
+		return nil
 	}
 }
 
-// TestAdmitterDigestCollisionSafety: documents that merely share a digest
-// bucket candidate must be verified byte-for-byte, so distinct documents
-// always get their own scans and decisions.
+// awaitCounter polls an admitter counter until it reaches want.
+func awaitCounter(t *testing.T, a *Admitter, name string, want int64) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for a.Metrics()[name].(int64) != want {
+		if time.Now().After(deadline) {
+			t.Fatalf("%s = %d, want %d", name, a.Metrics()[name], want)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// admitAsync starts one admission and returns the channel its decision
+// arrives on.
+func admitAsync(a *Admitter, doc []byte) <-chan Decision {
+	out := make(chan Decision, 1)
+	go func() { out <- a.VetBytes(doc) }()
+	return out
+}
+
+// TestAdmitterCoalescesDuplicates: identical requests arriving while one
+// scan of their document is held share that scan — one scan, n
+// identical decisions, n-1 coalesced — each request keeping its own
+// buffer.
+func TestAdmitterCoalescesDuplicates(t *testing.T) {
+	day := synth.Date(time.August, 5)
+	held := newHeldScanner(buildMatcher(t, day))
+	v := NewVetter(held)
+	a := NewAdmitter(v, 0, 0)
+	kit := kitDoc(t, day)
+
+	const n = 16
+	results := []<-chan Decision{admitAsync(a, []byte(kit))}
+	held.awaitScan(t)
+	for i := 1; i < n; i++ {
+		results = append(results, admitAsync(a, []byte(kit)))
+	}
+	awaitCounter(t, a, "coalesced", n-1)
+	close(held.release)
+	for i, r := range results {
+		if d := <-r; !d.Blocked || d.Family != "Angler" {
+			t.Errorf("request %d: %+v", i, d)
+		}
+	}
+	if scanned, blocked := v.Stats(); scanned != 1 || blocked != 1 {
+		t.Errorf("scanned/blocked = %d/%d for %d identical in-flight requests, want 1/1", scanned, blocked, n)
+	}
+	mtr := a.Metrics()
+	if mtr["requests"].(int64) != n || mtr["batches"].(int64) != 1 || mtr["coalesced"].(int64) != n-1 {
+		t.Errorf("requests/batches/coalesced = %v/%v/%v, want %d/1/%d", mtr["requests"], mtr["batches"], mtr["coalesced"], n, n-1)
+	}
+}
+
+// TestAdmitterHotSwapNeverJoinsOldFlight: a request that arrives after
+// the signature set changed — by Update or by SetVersion — is decided
+// by the new set even while an identical document is still being
+// scanned by the old one.
+func TestAdmitterHotSwapNeverJoinsOldFlight(t *testing.T) {
+	day := synth.Date(time.August, 5)
+	m := buildMatcher(t, day)
+	held := newHeldScanner(m)
+	v := NewVetter(held)
+	v.SetVersion(1)
+	a := NewAdmitter(v, 0, 0)
+	kit := []byte(kitDoc(t, day))
+
+	old := admitAsync(a, kit)
+	held.awaitScan(t)
+	v.Update(m)
+	for _, step := range []string{"Update", "SetVersion"} {
+		select {
+		case d := <-admitAsync(a, kit):
+			if !d.Blocked || d.Family != "Angler" {
+				t.Errorf("after %s: %+v", step, d)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("request after %s joined the flight held on the old set", step)
+		}
+		v.SetVersion(2)
+	}
+	close(held.release)
+	if d := <-old; !d.Blocked || d.Family != "Angler" {
+		t.Errorf("held request: %+v", d)
+	}
+	if c := a.Metrics()["coalesced"].(int64); c != 0 {
+		t.Errorf("coalesced = %d across a signature change, want 0", c)
+	}
+	if scanned, _ := v.Stats(); scanned != 3 {
+		t.Errorf("scanned = %d, want 3 (one per signature set)", scanned)
+	}
+}
+
+// TestAdmitterDistinctDocsNeverShareFlight: a different document
+// arriving while another is held is scanned on its own, never handed
+// the held document's decision.
+func TestAdmitterDistinctDocsNeverShareFlight(t *testing.T) {
+	day := synth.Date(time.August, 5)
+	held := newHeldScanner(buildMatcher(t, day))
+	v := NewVetter(held)
+	a := NewAdmitter(v, 0, 0)
+	kit := []byte(kitDoc(t, day))
+	benign := []byte(`var benign = 1;`)
+
+	kitRes := admitAsync(a, kit)
+	held.awaitScan(t)
+	benignRes := admitAsync(a, benign)
+	if got := held.awaitScan(t); !bytes.Equal(got, benign) {
+		t.Fatalf("second scan got %q, want the benign document", got)
+	}
+	close(held.release)
+	if d := <-kitRes; !d.Blocked || d.Family != "Angler" {
+		t.Errorf("kit: %+v", d)
+	}
+	if d := <-benignRes; d.Blocked {
+		t.Errorf("benign: %+v", d)
+	}
+	if c := a.Metrics()["coalesced"].(int64); c != 0 {
+		t.Errorf("coalesced = %d for distinct documents, want 0", c)
+	}
+}
+
+// TestAdmitterDigestCollisionDecidesAlone: a document whose digest
+// nominates an in-flight flight holding different bytes is decided on
+// its own at once, without waiting on the stranger's flight.
+func TestAdmitterDigestCollisionDecidesAlone(t *testing.T) {
+	day := synth.Date(time.August, 5)
+	v := NewVetter(buildMatcher(t, day))
+	a := NewAdmitter(v, 0, 0)
+	kit := []byte(kitDoc(t, day))
+	// Plant a flight that never lands under the kit's key, holding other
+	// bytes: what a colliding document in flight looks like.
+	key := flightKey{set: v.pin(), digest: contentcache.Digest(string(kit))}
+	a.flights[key] = &flight{doc: []byte("colliding twin"), done: make(chan struct{})}
+	select {
+	case d := <-admitAsync(a, kit):
+		if !d.Blocked || d.Family != "Angler" {
+			t.Errorf("colliding kit: %+v", d)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a colliding document waited on a stranger's flight")
+	}
+	if c := a.Metrics()["coalesced"].(int64); c != 0 {
+		t.Errorf("coalesced = %d on a digest collision, want 0", c)
+	}
+}
+
+// TestAdmitterDistinctDocsDistinctDecisions: concurrent requests for
+// different documents always get their own decisions.
 func TestAdmitterDistinctDocsDistinctDecisions(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	v := NewVetter(buildMatcher(t, day))
-	a := NewAdmitter(v, 16, 20*time.Millisecond)
-	defer a.Close()
+	a := NewAdmitter(v, 0, 0)
 
 	kit := []byte(kitDoc(t, day))
 	benign := []byte(`var benign = 1;`)
@@ -172,11 +306,11 @@ func TestAdmitterDistinctDocsDistinctDecisions(t *testing.T) {
 }
 
 // TestAdmitterCloseFallback: after Close, admissions still get correct
-// decisions via the direct path, and Close drains queued requests.
+// decisions.
 func TestAdmitterCloseFallback(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	v := NewVetter(buildMatcher(t, day))
-	a := NewAdmitter(v, 32, time.Millisecond)
+	a := NewAdmitter(v, 0, 0)
 	kit := []byte(kitDoc(t, day))
 	if d := a.VetBytes(kit); !d.Blocked {
 		t.Fatal("pre-close admission missed kit")
@@ -190,13 +324,16 @@ func TestAdmitterCloseFallback(t *testing.T) {
 	}
 }
 
-// TestVetterUpdateDuringVetAllBytes swaps signature sets while batched
-// byte scans are in flight; run under -race this pins the hot-swap
-// locking. Every decision must come from one coherent signature set.
-func TestVetterUpdateDuringVetAllBytes(t *testing.T) {
+// TestVetterUpdateDuringVetBytes swaps signature sets while scans are in
+// flight, through the vetter and the admitter alike; run under -race
+// this pins the hot-swap locking. Every decision must come from one
+// coherent signature set.
+func TestVetterUpdateDuringVetBytes(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	m := buildMatcher(t, day)
 	v := NewVetter(m)
+	a := NewAdmitter(v, 0, 0)
+	a.UseSharedStore(verdictcache.New(0))
 	kit := []byte(kitDoc(t, day))
 	docs := [][]byte{kit, []byte("var benign = 1;"), kit}
 
@@ -205,24 +342,88 @@ func TestVetterUpdateDuringVetAllBytes(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for {
+		for version := int64(1); ; version++ {
 			select {
 			case <-stop:
 				return
 			default:
 				v.Update(m)
-				v.SetVersion(v.Version() + 1)
+				v.SetVersion(version)
 			}
 		}
 	}()
-	for i := 0; i < 50; i++ {
-		out := v.VetAllBytes(docs)
-		if !out[0].Blocked || out[1].Blocked || !out[2].Blocked {
-			t.Fatalf("iteration %d: decisions %+v", i, out)
-		}
+	var scans sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		scans.Add(1)
+		go func() {
+			defer scans.Done()
+			for i := 0; i < 50; i++ {
+				for j, doc := range docs {
+					want := j != 1
+					if d := v.VetBytes(doc); d.Blocked != want {
+						t.Errorf("iteration %d doc %d: vetter decided %+v", i, j, d)
+					}
+					if d := a.VetBytes(doc); d.Blocked != want {
+						t.Errorf("iteration %d doc %d: admitter decided %+v", i, j, d)
+					}
+				}
+			}
+		}()
 	}
+	scans.Wait()
 	close(stop)
 	wg.Wait()
+}
+
+// recordingStore is a shared verdict store that keeps every publication.
+type recordingStore struct {
+	mu   sync.Mutex
+	puts []int64
+}
+
+func (s *recordingStore) Get(int64, uint64) (verdictcache.Verdict, bool) {
+	return verdictcache.Verdict{}, false
+}
+
+func (s *recordingStore) Put(version int64, _ uint64, _ verdictcache.Verdict) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.puts = append(s.puts, version)
+}
+
+func (s *recordingStore) versions() []int64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return append([]int64(nil), s.puts...)
+}
+
+// TestAdmitterVersionPin: a set installed by Update runs unversioned
+// until SetVersion names it, so a verdict it computes in between is
+// never published under the version of the set it replaced.
+func TestAdmitterVersionPin(t *testing.T) {
+	day := synth.Date(time.August, 5)
+	v := NewVetter(buildMatcher(t, day))
+	v.SetVersion(1)
+	store := &recordingStore{}
+	a := NewAdmitter(v, 0, 0)
+	a.UseSharedStore(store)
+	kit := []byte(kitDoc(t, day))
+
+	v.Update(buildMatcher(t, day))
+	if d := a.VetBytes(kit); !d.Blocked {
+		t.Fatalf("kit admitted between Update and SetVersion: %+v", d)
+	}
+	if got := store.versions(); len(got) != 0 {
+		t.Fatalf("published under versions %v before the new set was named", got)
+	}
+	if got := v.Version(); got != 0 {
+		t.Errorf("Version() = %d between Update and SetVersion, want 0", got)
+	}
+	v.SetVersion(2)
+	a.VetBytes(kit)
+	if got := store.versions(); len(got) != 1 || got[0] != 2 {
+		t.Errorf("published under versions %v, want [2]", got)
+	}
 }
 
 // TestProxyChunkedOversizedNotTruncated: a chunked (unknown-length)
@@ -300,8 +501,8 @@ func TestProxyChunkedUnderLimitScanned(t *testing.T) {
 }
 
 // TestProxyWithAdmitter drives the proxy end to end through the
-// admission batcher: kit blocked, benign served intact, duplicate
-// concurrent fetches coalesced without changing any response.
+// admitter: kit blocked, benign served intact, duplicate concurrent
+// fetches coalesced without changing any response.
 func TestProxyWithAdmitter(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	kit := kitDoc(t, day)
@@ -320,8 +521,7 @@ func TestProxyWithAdmitter(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := NewVetter(buildMatcher(t, day))
-	a := NewAdmitter(v, 32, time.Millisecond)
-	defer a.Close()
+	a := NewAdmitter(v, 0, 0)
 	p := NewProxy(target, v)
 	p.UseAdmitter(a)
 	front := httptest.NewServer(p)
@@ -390,9 +590,8 @@ func TestAdmitterSharedStore(t *testing.T) {
 	for i := range replicas {
 		vetters[i] = NewVetter(buildMatcher(t, day))
 		vetters[i].SetVersion(1)
-		replicas[i] = NewAdmitter(vetters[i], 8, 200*time.Microsecond)
+		replicas[i] = NewAdmitter(vetters[i], 0, 0)
 		replicas[i].UseSharedStore(cache)
-		defer replicas[i].Close()
 	}
 
 	// Replica 0 scans everything, populating the shared cache.
@@ -442,9 +641,8 @@ func TestAdmitterSharedStoreChecksumGuard(t *testing.T) {
 	cache := verdictcache.New(0)
 	v := NewVetter(buildMatcher(t, day))
 	v.SetVersion(1)
-	a := NewAdmitter(v, 8, 200*time.Microsecond)
+	a := NewAdmitter(v, 0, 0)
 	a.UseSharedStore(cache)
-	defer a.Close()
 
 	kit := []byte(kitDoc(t, day))
 	kitKey := contentcache.Digest(string(kit))
@@ -477,9 +675,8 @@ func TestAdmitterSharedStoreUnversionedVetter(t *testing.T) {
 	day := synth.Date(time.August, 5)
 	cache := verdictcache.New(0)
 	v := NewVetter(buildMatcher(t, day)) // version never set
-	a := NewAdmitter(v, 8, 200*time.Microsecond)
+	a := NewAdmitter(v, 0, 0)
 	a.UseSharedStore(cache)
-	defer a.Close()
 	a.VetBytes([]byte(kitDoc(t, day)))
 	if cache.Len() != 0 {
 		t.Errorf("unversioned vetter published %d verdicts to the fleet", cache.Len())

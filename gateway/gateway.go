@@ -36,64 +36,69 @@ type Decision struct {
 
 // Scanner is the signature-set interface the gateway scans through;
 // *kizzle.Matcher satisfies it. Documents are byte slices end to end —
-// the proxy's pooled body buffers and the admission batcher's batches —
-// and implementations must not retain them past the call, so callers may
-// reuse a buffer the moment a scan returns. ScanAllBytes results align
-// with the input and equal per-document ScanBytes results.
+// the proxy's pooled body buffers and the admitter's in-flight documents
+// — and implementations must not retain them past the call, so callers
+// may reuse a buffer the moment a scan returns.
 type Scanner interface {
 	ScanBytes(doc []byte) []kizzle.Match
-	ScanAllBytes(docs [][]byte) [][]kizzle.Match
+}
+
+// armedSet is one deployed signature set and the version that names it.
+// The two travel as one value so a decision can never pair a scan by one
+// set with the version of another; version 0 means no version is known
+// for this scanner yet.
+type armedSet struct {
+	scanner Scanner
+	version int64
 }
 
 // Vetter makes admission decisions for documents. It is safe for
 // concurrent use, and its signature set can be swapped live (the
 // "frequent, automatic updates" of the AV distribution channel).
 type Vetter struct {
-	mu      sync.RWMutex
-	scanner Scanner
+	mu  sync.RWMutex
+	set *armedSet
 
 	scanned atomic.Int64
 	unarmed atomic.Int64
 	blocked atomic.Int64
-	version atomic.Int64
 	lat     servemetrics.Hist
 }
 
 // NewVetter builds a vetter around an initial signature set.
 func NewVetter(scanner Scanner) *Vetter {
-	return &Vetter{scanner: scanner}
+	return &Vetter{set: &armedSet{scanner: scanner}}
 }
 
-// Update swaps in a new signature set atomically.
+// Update swaps in a new signature set atomically. The new set runs
+// unversioned until SetVersion names it, so no verdict it computes can
+// be attributed to the version of the set it replaced.
 func (v *Vetter) Update(scanner Scanner) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
-	v.scanner = scanner
+	v.set = &armedSet{scanner: scanner}
 }
 
-// SetVersion records the deployed signature-set version for the metrics
-// surface; it does not affect scanning. Callers that poll sigdb set it
-// alongside Update.
-func (v *Vetter) SetVersion(version int64) { v.version.Store(version) }
+// SetVersion names the version of the signature set most recently
+// installed by Update (or NewVetter). Callers that poll sigdb call it
+// right after Update; the version pins the admitter's shared verdicts
+// and is reported on the metrics surface.
+func (v *Vetter) SetVersion(version int64) {
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	v.set = &armedSet{scanner: v.set.scanner, version: version}
+}
 
-// Version returns the version recorded by SetVersion (0 if never set).
-func (v *Vetter) Version() int64 { return v.version.Load() }
+// Version returns the version SetVersion gave the running signature set
+// (0 if it has none).
+func (v *Vetter) Version() int64 { return v.pin().version }
 
-// current returns the live scanner.
-func (v *Vetter) current() Scanner {
+// pin returns the running signature set together with its version.
+func (v *Vetter) pin() *armedSet {
 	v.mu.RLock()
-	scanner := v.scanner
+	set := v.set
 	v.mu.RUnlock()
-	return scanner
-}
-
-// decide folds matches into a Decision, maintaining the blocked counter.
-func (v *Vetter) decide(matches []kizzle.Match) Decision {
-	if len(matches) == 0 {
-		return Decision{}
-	}
-	v.blocked.Add(1)
-	return Decision{Blocked: true, Family: matches[0].Family}
+	return set
 }
 
 // VetBytes scans one document held in a byte slice, in place: the
@@ -101,7 +106,12 @@ func (v *Vetter) decide(matches []kizzle.Match) Decision {
 // call returns. Before a signature set is deployed every document passes
 // and counts as unarmed, not scanned.
 func (v *Vetter) VetBytes(doc []byte) Decision {
-	scanner := v.current()
+	return v.vet(v.pin().scanner, doc)
+}
+
+// vet decides doc with the given scanner, maintaining the counters and
+// the scan-latency histogram; a nil scanner admits doc unarmed.
+func (v *Vetter) vet(scanner Scanner, doc []byte) Decision {
 	if scanner == nil {
 		v.unarmed.Add(1)
 		return Decision{}
@@ -110,32 +120,11 @@ func (v *Vetter) VetBytes(doc []byte) Decision {
 	start := time.Now()
 	matches := scanner.ScanBytes(doc)
 	v.lat.Observe(time.Since(start))
-	return v.decide(matches)
-}
-
-// VetAllBytes scans a batch of documents through one ScanAllBytes call
-// and returns decisions aligned with the input, identical to
-// per-document VetBytes calls. Buffer-ownership and unarmed rules are
-// those of VetBytes.
-func (v *Vetter) VetAllBytes(docs [][]byte) []Decision {
-	scanner := v.current()
-	out := make([]Decision, len(docs))
-	if scanner == nil {
-		v.unarmed.Add(int64(len(docs)))
-		return out
+	if len(matches) == 0 {
+		return Decision{}
 	}
-	if len(docs) == 0 {
-		return out
-	}
-	v.scanned.Add(int64(len(docs)))
-	start := time.Now()
-	for i, matches := range scanner.ScanAllBytes(docs) {
-		out[i] = v.decide(matches)
-	}
-	// Batch entry points record the whole call once: that is the latency
-	// every document in the batch experienced.
-	v.lat.Observe(time.Since(start))
-	return out
+	v.blocked.Add(1)
+	return Decision{Blocked: true, Family: matches[0].Family}
 }
 
 // Stats reports how many documents were scanned and blocked.
@@ -145,13 +134,13 @@ func (v *Vetter) Stats() (scanned, blocked int64) {
 
 // Metrics returns the vetter's /metrics fields: scan and block counts,
 // the documents admitted unscanned before any set was deployed, the
-// recorded signature-set version, and the scan-latency summary.
+// running signature set's version, and the scan-latency summary.
 func (v *Vetter) Metrics() map[string]any {
 	return map[string]any{
 		"scanned":         v.scanned.Load(),
 		"unarmed":         v.unarmed.Load(),
 		"blocked":         v.blocked.Load(),
-		"matcher_version": v.version.Load(),
+		"matcher_version": v.Version(),
 		"scan_latency":    v.lat.Summary(),
 	}
 }
@@ -163,7 +152,7 @@ type Proxy struct {
 	vetter *Vetter
 	proxy  *httputil.ReverseProxy
 	// admit, when set by UseAdmitter, routes each body through the
-	// admission batcher instead of a direct per-document vet.
+	// admitter instead of a direct per-document vet.
 	admit *Admitter
 	// MaxScanBytes bounds how much of a response is buffered for
 	// scanning (default DefaultMaxScanBytes); larger responses stream
@@ -192,10 +181,11 @@ func NewProxy(upstream *url.URL, vetter *Vetter) *Proxy {
 	return p
 }
 
-// UseAdmitter routes the proxy's admission decisions through a (already
-// running) Admitter, so concurrent in-flight responses coalesce into
-// micro-batches — and duplicate in-flight documents into single scans —
-// instead of each paying its own scan. Decisions are identical to the
+// UseAdmitter routes the proxy's admission decisions through an
+// Admitter: each response is still decided on its own request's
+// goroutine, but identical responses in flight at the same moment share
+// one scan, and with a shared verdict store a document another replica
+// already scanned is not scanned again. Decisions are identical to the
 // direct path. Call before serving; the admitter must outlive the proxy.
 func (p *Proxy) UseAdmitter(a *Admitter) { p.admit = a }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"kizzle"
+	"kizzle/internal/verdictcache"
 	"kizzle/synth"
 )
 
@@ -356,52 +357,22 @@ func TestScannable(t *testing.T) {
 	}
 }
 
-// TestVetAllMatchesVet: batch vetting must agree document-for-document
-// with serial vetting.
-func TestVetAllMatchesVet(t *testing.T) {
-	day := synth.Date(time.August, 6)
-	m := buildMatcher(t, day)
-	cfg := synth.DefaultConfig()
-	cfg.BenignPerDay = 10
-	stream, err := synth.NewStream(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var docs [][]byte
-	for _, s := range stream.Day(day) {
-		docs = append(docs, []byte(s.Content))
-	}
-
-	v := NewVetter(m)
-	batch := v.VetAllBytes(docs)
-	serialVetter := NewVetter(m)
-	for i, doc := range docs {
-		want := serialVetter.VetBytes(doc)
-		if batch[i] != want {
-			t.Fatalf("doc %d: batch %+v vs serial %+v", i, batch[i], want)
-		}
-	}
-	scanned, blocked := v.Stats()
-	if scanned != int64(len(docs)) {
-		t.Errorf("scanned = %d, want %d", scanned, len(docs))
-	}
-	wantBlocked := int64(0)
-	for _, d := range batch {
-		if d.Blocked {
-			wantBlocked++
-		}
-	}
-	if blocked != wantBlocked {
-		t.Errorf("blocked = %d, want %d", blocked, wantBlocked)
-	}
-}
-
-func TestVetAllNilScanner(t *testing.T) {
+// TestAdmitterNilScanner: before any set is deployed the admitter passes
+// every document unarmed, and publishes nothing to the shared store even
+// when the vetter already carries a version.
+func TestAdmitterNilScanner(t *testing.T) {
 	v := NewVetter(nil)
-	for _, d := range v.VetAllBytes([][]byte{[]byte("a"), []byte("b")}) {
-		if d.Blocked {
+	v.SetVersion(1)
+	cache := verdictcache.New(0)
+	a := NewAdmitter(v, 0, 0)
+	a.UseSharedStore(cache)
+	for _, doc := range []string{"a", "b"} {
+		if d := a.VetBytes([]byte(doc)); d.Blocked {
 			t.Error("nil scanner blocked a document")
 		}
 	}
 	assertUnarmed(t, v, 2)
+	if cache.Len() != 0 {
+		t.Errorf("unarmed admissions published %d verdicts", cache.Len())
+	}
 }

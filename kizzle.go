@@ -645,9 +645,8 @@ func (m *Matcher) Detects(doc string) bool {
 // returns per-document matches aligned with the input: one worker pool
 // over the documents, each scanned (lexing included) by ScanBytes, so
 // ScanAllBytes(docs)[i] equals ScanBytes(docs[i]). It is the batched
-// zero-copy core that bulk deployment channels (CDN admission queues,
-// scan APIs) dispatch through. Buffer-reuse rules are those of
-// ScanBytes.
+// zero-copy core that bulk scan APIs (sigserve's POST /scan) dispatch
+// through. Buffer-reuse rules are those of ScanBytes.
 func (m *Matcher) ScanAllBytes(docs [][]byte) [][]Match {
 	out := make([][]Match, len(docs))
 	parallel.ForEach(len(docs), runtime.GOMAXPROCS(0), 1, func(_, i int) {
