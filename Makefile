@@ -44,8 +44,9 @@ SNAPSHOT ?= BENCH_PR4.json
 bench-pr-snapshot:
 	sh scripts/benchgate.sh snapshot $(SNAPSHOT)
 
-# 30-second fuzz runs of the untrusted-input surfaces, the distance
-# kernel and the canonical signature encoding; crashes fail, time-box does not (the CI fuzz smoke).
+# 30-second fuzz runs of the untrusted-input surfaces (both lexers, with
+# their windowed lex), the distance kernel and the canonical signature
+# encoding; crashes fail, time-box does not (the CI fuzz smoke).
 FUZZTIME ?= 30s
 fuzz-smoke:
 	go test -run=NONE -fuzz='^FuzzWorkerPartition$$' -fuzztime=$(FUZZTIME) ./internal/shardcoord/
@@ -56,6 +57,7 @@ fuzz-smoke:
 	go test -run=NONE -fuzz='^FuzzAttestation$$' -fuzztime=$(FUZZTIME) ./sigdb/
 	go test -run=NONE -fuzz='^FuzzKnownDir$$' -fuzztime=$(FUZZTIME) ./cmd/sigserve/
 	go test -run=NONE -fuzz='^FuzzSampleDir$$' -fuzztime=$(FUZZTIME) ./cmd/sigserve/
+	go test -run=NONE -fuzz='^FuzzJSTokenize$$' -fuzztime=$(FUZZTIME) ./internal/jstoken/
 	go test -run=NONE -fuzz='^FuzzWebkitTokenize$$' -fuzztime=$(FUZZTIME) ./internal/webkittoken/
 	go test -run=NONE -fuzz='^FuzzDistanceWithin$$' -fuzztime=$(FUZZTIME) ./internal/textdist/
 	go test -run=NONE -fuzz='^FuzzSignatureJSON$$' -fuzztime=$(FUZZTIME) ./internal/siggen/

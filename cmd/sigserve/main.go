@@ -419,9 +419,9 @@ func newPublisher(store *sigdb.Store, samplesDir, knownDir, cacheDir string, pri
 			if err != nil {
 				return nil, fmt.Errorf("load cache (%s): %w", prof, err)
 			}
-			if stats.Entries > 0 || stats.CorruptSegments > 0 {
-				log.Printf("cache (%s): restored %d entries from %s (%d corrupt segments skipped)",
-					prof, stats.Entries, w.cacheDir, stats.CorruptSegments)
+			if stats.Entries > 0 || stats.CorruptSegments > 0 || stats.SkippedEntries > 0 {
+				log.Printf("cache (%s): restored %d entries from %s (%d corrupt segments, %d stale entries skipped)",
+					prof, stats.Entries, w.cacheDir, stats.CorruptSegments, stats.SkippedEntries)
 			}
 		}
 		p.workloads = append(p.workloads, w)

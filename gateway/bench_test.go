@@ -2,7 +2,12 @@ package gateway
 
 import (
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
 	"sort"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -169,12 +174,57 @@ func benchServe(b *testing.B, batched bool, swap swapMode) {
 // removal and is kept because the bench-gate baseline keys on it): each
 // request is decided on arrival, and a hot document already being
 // scanned for another client is not scanned again.
+//
+// The "proxied" variant serves the same traffic through the scanning
+// reverse proxy, one request at a time, from a loopback origin; its B/op
+// is what each proxied response allocates.
 func BenchmarkServe(b *testing.B) {
 	b.Run("direct", func(b *testing.B) { benchServe(b, false, noSwap) })
 	b.Run("batched", func(b *testing.B) { benchServe(b, true, noSwap) })
 	b.Run("batched-coldswap", func(b *testing.B) { benchServe(b, true, coldSwap) })
 	b.Run("batched-warmswap", func(b *testing.B) { benchServe(b, true, warmSwap) })
+	b.Run("proxied", benchProxied)
 }
+
+// benchProxied requests zipf-drawn corpus pages through Proxy.ServeHTTP
+// from a loopback origin and discards the answers.
+func benchProxied(b *testing.B) {
+	day := synth.Date(time.August, 5)
+	docs := benchCorpus(b, day)
+	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		i, err := strconv.Atoi(strings.TrimPrefix(r.URL.Path, "/"))
+		if err != nil || i < 0 || i >= len(docs) {
+			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "text/html")
+		w.Write(docs[i])
+	}))
+	defer origin.Close()
+	target, err := url.Parse(origin.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := kizzle.NewMatcher(trainSignatures(b, day))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := NewProxy(target, NewVetter(m))
+	zipf := rand.NewZipf(rand.New(rand.NewSource(1)), 1.5, 1, uint64(len(docs)-1))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		req := httptest.NewRequest(http.MethodGet, "/"+strconv.FormatUint(zipf.Uint64(), 10), nil)
+		p.ServeHTTP(discardWriter{http.Header{}}, req)
+	}
+}
+
+// discardWriter is a ResponseWriter that keeps only the header.
+type discardWriter struct{ h http.Header }
+
+func (w discardWriter) Header() http.Header         { return w.h }
+func (w discardWriter) Write(b []byte) (int, error) { return len(b), nil }
+func (w discardWriter) WriteHeader(int)             {}
 
 // benchServeFleet drives zipf traffic through N gateway replicas behind
 // a round-robin front, optionally sharing one in-process verdict cache,

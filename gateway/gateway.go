@@ -177,6 +177,7 @@ func NewProxy(upstream *url.URL, vetter *Vetter) *Proxy {
 		r.Header.Del("Accept-Encoding")
 	}
 	rp.ModifyResponse = p.modifyResponse
+	rp.BufferPool = copyBuffers{}
 	p.proxy = rp
 	return p
 }
@@ -217,6 +218,16 @@ func scannable(contentType string) bool {
 // responses; larger bodies grow their pooled buffer once and the grown
 // buffer is what returns to the pool.
 var bodyPool = sync.Pool{New: func() any { b := make([]byte, 0, 64<<10); return &b }}
+
+// copyBuffers backs every proxy's httputil.ReverseProxy.BufferPool with
+// one process-wide pool of 32 KiB buffers, the size ReverseProxy
+// otherwise allocates afresh to copy out each response.
+type copyBuffers struct{}
+
+var copyPool = sync.Pool{New: func() any { b := make([]byte, 32<<10); return &b }}
+
+func (copyBuffers) Get() []byte  { return *copyPool.Get().(*[]byte) }
+func (copyBuffers) Put(b []byte) { copyPool.Put(&b) }
 
 // readBodyInto reads r to EOF into buf (growing it as needed), stopping
 // early once more than max bytes have been read. It returns the filled

@@ -151,9 +151,8 @@ func (c *Cache) Put(key Key, content string, value any) {
 // PutSized stores value for (key, content), charging content plus
 // valueBytes (the caller's estimate of the value's retained size) against
 // the byte budget and evicting oldest entries in the shard when over it.
-// Values that dwarf their key content — token streams addressed by a
-// short digest string, for instance — must pass an estimate, or the cache
-// would hold far more memory than its budget admits. Re-putting an
+// Values that dwarf their key content must pass an estimate, or the
+// cache would hold far more memory than its budget admits. Re-putting an
 // existing key replaces its value and re-accounts its cost.
 func (c *Cache) PutSized(key Key, content string, value any, valueBytes int) {
 	if c == nil {

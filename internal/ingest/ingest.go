@@ -41,17 +41,16 @@ type Profile interface {
 	// cache kind so entries from different profiles never alias. The js
 	// profile returns 0, keeping historical cache snapshots valid.
 	KindOffset() int
-	// SymbolFor recomputes the abstraction symbol for a token of the
-	// given class and text; cache codecs use it to restore symbols on
-	// tokens decoded from disk.
-	SymbolFor(class jstoken.Class, text string) jstoken.Symbol
 	// NewScratch mints a fresh per-goroutine lexing arena.
 	NewScratch() Scratch
-	// Lex tokenizes already-extracted source.
-	Lex(src string) []jstoken.Token
 	// LexDocument tokenizes a raw document (extracting scripts first
 	// where the profile distinguishes documents from source).
 	LexDocument(doc string) []jstoken.Token
+	// LexDocumentWindow returns tokens lo through hi-1 of
+	// LexDocument(doc), lexing no further than hi and storing nothing
+	// before lo. The signature stage reads token values this way, for
+	// just the common run it found on the abstract symbols.
+	LexDocumentWindow(doc string, lo, hi int) []jstoken.Token
 	// ExtractScripts reduces a raw document to the text that should be
 	// fingerprinted when unpacking fails (identity for profiles whose
 	// whole document is source).

@@ -11,19 +11,16 @@ import (
 // ever called before Register panics.
 type badProfile struct{ id string }
 
-func (p badProfile) ID() string        { return p.id }
-func (badProfile) SymbolSpace() int    { return 1 }
-func (badProfile) KindOffset() int     { return 0 }
-func (badProfile) NewScratch() Scratch { return nil }
-func (badProfile) Lex(string) []jstoken.Token {
+func (p badProfile) ID() string                       { return p.id }
+func (badProfile) SymbolSpace() int                   { return 1 }
+func (badProfile) KindOffset() int                    { return 0 }
+func (badProfile) NewScratch() Scratch                { return nil }
+func (badProfile) LexDocument(string) []jstoken.Token { return nil }
+func (badProfile) LexDocumentWindow(string, int, int) []jstoken.Token {
 	return nil
 }
-func (badProfile) LexDocument(string) []jstoken.Token { return nil }
-func (badProfile) ExtractScripts(doc string) string   { return doc }
-func (badProfile) Unpack(string) (Result, error)      { return Result{}, nil }
-func (badProfile) SymbolFor(jstoken.Class, string) jstoken.Symbol {
-	return jstoken.SymIdentifier
-}
+func (badProfile) ExtractScripts(doc string) string { return doc }
+func (badProfile) Unpack(string) (Result, error)    { return Result{}, nil }
 
 func mustPanic(t *testing.T, want string, fn func()) {
 	t.Helper()

@@ -18,15 +18,13 @@ func (jsProfile) ID() string       { return "js" }
 func (jsProfile) SymbolSpace() int { return jstoken.SymbolSpace() }
 func (jsProfile) KindOffset() int  { return 0 }
 
-func (jsProfile) SymbolFor(class jstoken.Class, text string) jstoken.Symbol {
-	return jstoken.MakeToken(class, text, 0, 0).Symbol()
-}
-
 func (jsProfile) NewScratch() Scratch { return &jstoken.Scratch{} }
 
-func (jsProfile) Lex(src string) []jstoken.Token { return jstoken.Lex(src) }
-
 func (jsProfile) LexDocument(doc string) []jstoken.Token { return jstoken.LexDocument(doc) }
+
+func (jsProfile) LexDocumentWindow(doc string, lo, hi int) []jstoken.Token {
+	return jstoken.LexDocumentWindow(doc, lo, hi)
+}
 
 func (jsProfile) ExtractScripts(doc string) string { return jstoken.ExtractScripts(doc) }
 

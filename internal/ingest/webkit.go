@@ -19,15 +19,13 @@ func (webkitProfile) SymbolSpace() int { return webkittoken.SymbolSpace() }
 // profile's historical kind range (1–7) with headroom for new kinds.
 func (webkitProfile) KindOffset() int { return 16 }
 
-func (webkitProfile) SymbolFor(class jstoken.Class, text string) jstoken.Symbol {
-	return webkittoken.SymbolFor(class, text)
-}
-
 func (webkitProfile) NewScratch() Scratch { return &webkittoken.Scratch{} }
 
-func (webkitProfile) Lex(src string) []jstoken.Token { return webkittoken.Lex(src) }
-
 func (webkitProfile) LexDocument(doc string) []jstoken.Token { return webkittoken.LexDocument(doc) }
+
+func (webkitProfile) LexDocumentWindow(doc string, lo, hi int) []jstoken.Token {
+	return webkittoken.LexDocumentWindow(doc, lo, hi)
+}
 
 func (webkitProfile) ExtractScripts(doc string) string { return doc }
 

@@ -87,3 +87,9 @@ func ExtractScripts(doc string) string {
 func LexDocument(doc string) []Token {
 	return Lex(ExtractScripts(doc))
 }
+
+// LexDocumentWindow is LexWindow over the document's extracted scripts:
+// tokens lo through hi-1 of LexDocument(doc).
+func LexDocumentWindow(doc string, lo, hi int) []Token {
+	return LexWindow(ExtractScripts(doc), lo, hi)
+}

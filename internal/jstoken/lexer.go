@@ -16,6 +16,22 @@ func Lex(src string) []Token {
 	return l.tokens
 }
 
+// LexWindow returns tokens lo through hi-1 of Lex(src) — the tokens Lex
+// would put at those indices, positions and texts included — without
+// storing the others: tokens before lo are lexed and counted, and lexing
+// stops once token hi-1 is out. The regex/division state advances over
+// the skipped prefix exactly as in a full lex. A negative lo counts as 0;
+// a window past the last token is cut at it.
+func LexWindow(src string, lo, hi int) []Token {
+	lo = max(lo, 0)
+	if hi <= lo {
+		return nil
+	}
+	l := lexer{src: src, tokens: make([]Token, 0, min(hi-lo, len(src)/3+8)), lo: lo, hi: hi}
+	l.run()
+	return l.tokens
+}
+
 type lexer struct {
 	src    string
 	pos    int
@@ -31,6 +47,9 @@ type lexer struct {
 	// slice so the symbol-only mode shares the exact same decision.
 	prevClass Class
 	prevSym   Symbol
+	// n counts the tokens emitted so far. Only tokens with index in
+	// [lo, hi) are stored; hi 0 means no upper bound (a full lex).
+	n, lo, hi int
 }
 
 // Lead-byte kinds for the dispatch table: the per-byte cascade of range
@@ -117,7 +136,14 @@ func (l *lexer) emit(class Class, start int, sym Symbol) {
 		l.syms = append(l.syms, sym)
 		return
 	}
-	l.tokens = append(l.tokens, Token{Class: class, Text: l.src[start:l.pos], Pos: start, sym: sym})
+	if l.n >= l.lo {
+		l.tokens = append(l.tokens, Token{Class: class, Text: l.src[start:l.pos], Pos: start, sym: sym})
+	}
+	if l.n++; l.n == l.hi {
+		// The window is full. Every emit is the last step of its scan,
+		// so moving to the end of input ends the run loop.
+		l.pos = len(l.src)
+	}
 }
 
 func (l *lexer) skipLineComment() {

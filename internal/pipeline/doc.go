@@ -35,7 +35,9 @@
 //     content-derived generation per family, cached verdicts carry one
 //     slice per family, and a corpus Add re-sweeps only the family it
 //     touched (Stats.LabelSweeps counts the sweeps actually run);
-//   - sign: generalize a structural signature per malicious cluster.
+//   - sign: generalize a structural signature per malicious cluster,
+//     finding its common run on the symbol sequences already lexed and
+//     lexing token values for that run only.
 //
 // Config.Cache threads a contentcache.Cache through every stage so a day
 // N+1 batch pays only for novel content; CacheCodecs supplies the disk

@@ -16,8 +16,8 @@ import (
 // This file owns the contentcache disk codecs for the pipeline's artifact
 // kinds, so a saved cache snapshot restores every derived artifact a warm
 // day relies on: abstract symbol sequences, unpack results, winnow
-// fingerprints, label verdicts, token streams, generated signatures, and
-// pair within-eps verdicts. Encodings are hand-rolled little-endian +
+// fingerprints, label verdicts, generated signatures, and pair within-eps
+// verdicts. Encodings are hand-rolled little-endian +
 // uvarint — the store carries its own checksums and verification, so the
 // codecs only need to be deterministic and self-delimiting.
 
@@ -31,16 +31,12 @@ func CacheCodecs() contentcache.Codecs {
 		kindUnpack:      unpackCodec{},
 		kindFingerprint: fingerprintCodec{},
 		kindLabel:       labelCodec{},
-		kindTokens:      tokensCodec{},
 		kindSignature:   signatureCodec{},
 		kindPairVerdict: verdictCodec{},
 	}
 	// Non-default ingest profiles store their lexer/unpacker-dependent
 	// kinds at a per-profile offset (see profiledKind); register the same
-	// codecs there. The token codec additionally carries the profile's
-	// symbol-restore hook: persisted tokens drop the cached abstraction
-	// symbol, and without the hook a restored webkit token would fall back
-	// to the JS keyword tables — warm and cold runs would diverge.
+	// codecs there.
 	for _, id := range ingest.IDs() {
 		p, _ := ingest.Lookup(id)
 		if p == nil || p.KindOffset() == 0 {
@@ -48,7 +44,6 @@ func CacheCodecs() contentcache.Codecs {
 		}
 		codecs[profiledKind(kindRawSymbols, p)] = symbolsCodec{}
 		codecs[profiledKind(kindUnpack, p)] = unpackCodec{}
-		codecs[profiledKind(kindTokens, p)] = tokensCodec{resym: p.SymbolFor}
 		codecs[profiledKind(kindSignature, p)] = signatureCodec{}
 	}
 	return codecs
@@ -274,73 +269,6 @@ func (labelCodec) Decode(data []byte) (any, error) {
 		return nil, errCorruptValue
 	}
 	return e, nil
-}
-
-// --- kindTokens: []jstoken.Token ---
-//
-// The lexer's cached abstraction symbol is not serialized (it is
-// unexported). For the JS profile restored tokens recompute it on demand
-// — which only the signature stage's bounded sample set ever pays — and
-// the encoding stays byte-identical to every historical snapshot. For
-// other profiles the codec's resym hook restores the profile's own
-// symbols at decode time.
-
-type tokensCodec struct {
-	// resym, when set, recomputes each restored token's abstraction
-	// symbol under a non-default profile's alphabet.
-	resym func(jstoken.Class, string) jstoken.Symbol
-}
-
-func (tokensCodec) Encode(value any) ([]byte, error) {
-	tokens, ok := value.([]jstoken.Token)
-	if !ok {
-		return nil, fmt.Errorf("pipeline: tokens codec: %T", value)
-	}
-	b := appendUvarint(nil, uint64(len(tokens)))
-	for _, t := range tokens {
-		b = appendUvarint(b, uint64(t.Class))
-		b = appendString(b, t.Text)
-		b = appendUvarint(b, uint64(t.Pos))
-	}
-	return b, nil
-}
-
-func (c tokensCodec) Decode(data []byte) (any, error) {
-	n, data, err := readUvarint(data)
-	if err != nil {
-		return nil, err
-	}
-	// A token encodes to ≥3 bytes (class, empty text, pos); bound the
-	// pre-allocation by what the data could actually hold.
-	if n > uint64(len(data))/3 {
-		return nil, errCorruptValue
-	}
-	tokens := make([]jstoken.Token, 0, n)
-	for i := uint64(0); i < n; i++ {
-		var class, pos uint64
-		var text string
-		class, data, err = readUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		text, data, err = readString(data)
-		if err != nil {
-			return nil, err
-		}
-		pos, data, err = readUvarint(data)
-		if err != nil {
-			return nil, err
-		}
-		var sym jstoken.Symbol
-		if c.resym != nil {
-			sym = c.resym(jstoken.Class(class), text)
-		}
-		tokens = append(tokens, jstoken.MakeToken(jstoken.Class(class), text, int(pos), sym))
-	}
-	if len(data) != 0 {
-		return nil, errCorruptValue
-	}
-	return tokens, nil
 }
 
 // --- kindSignature: signatureEntry ---

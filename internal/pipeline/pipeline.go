@@ -20,17 +20,22 @@ import (
 // prototype → unpack result, unpacked payload → winnow fingerprint.
 //
 // Kinds whose value depends on the ingest profile's lexer or unpacker
-// (kindRawSymbols, kindUnpack, kindTokens, kindSignature) are offset by
+// (kindRawSymbols, kindUnpack, kindSignature) are offset by
 // Profile.KindOffset at use sites so the same document ingested under two
 // profiles never aliases. The profile-independent kinds — fingerprints
 // and label verdicts (pure functions of text), pair verdicts (pure
 // functions of symbol values) — stay shared across profiles.
+//
+// Kind 5 held full token streams for the signature stage, which now reads
+// the symbols the cluster stage lexed and lexes token values only for the
+// common run. The number stays reserved: snapshots written before carry
+// entries of that kind, and Load skips them because no codec claims it.
 const (
 	kindRawSymbols contentcache.Kind = iota + 1
 	kindUnpack
 	kindFingerprint
 	kindLabel
-	kindTokens
+	_ // retired: full token streams
 	kindSignature
 	kindPairVerdict
 )
@@ -302,12 +307,13 @@ func Process(inputs []Input, corpus *Corpus, cfg Config) (Result, error) {
 
 	// Stages 1–3, fused and streamed: content-digest pre-dedup, chunked
 	// look-ahead tokenization straight to abstract symbols (token values
-	// are never materialized here; the signature stage re-lexes the few
-	// samples it needs), sequence dedup, and partition emission — each
-	// partition dispatched to the cluster session the moment it fills, so
-	// a shard fleet clusters while the host still lexes the tail. Exploit-
-	// kit randomization leaves the abstract sequence intact, so dedup
-	// often collapses a family's whole day into a handful of points.
+	// are never materialized here; the signature stage lexes them for
+	// just the common run it finds), sequence dedup, and partition
+	// emission — each partition dispatched to the cluster session the
+	// moment it fills, so a shard fleet clusters while the host still
+	// lexes the tail. Exploit-kit randomization leaves the abstract
+	// sequence intact, so dedup often collapses a family's whole day into
+	// a handful of points.
 	sess := openClusterSession(cfg)
 	defer sess.close()
 	start := time.Now()
@@ -352,8 +358,17 @@ func Process(inputs []Input, corpus *Corpus, cfg Config) (Result, error) {
 
 	// Stage 6: signatures for malicious clusters, generated in parallel
 	// and assembled in cluster order so the output is identical to the
-	// serial loop.
+	// serial loop. Each cluster's common run is found on the symbol
+	// sequences stage 1 already lexed (every input's sequence is its
+	// unique's); token values are lexed only for the run itself.
 	start = time.Now()
+	seqOf := make([]int, len(inputs))
+	for u, members := range uniq.members {
+		for _, si := range members {
+			seqOf[si] = u
+		}
+	}
+	symsOf := func(si int) []jstoken.Symbol { return uniq.seqs[seqOf[si]] }
 	type sigResult struct {
 		sig siggen.Signature
 		ok  bool
@@ -369,7 +384,7 @@ func Process(inputs []Input, corpus *Corpus, cfg Config) (Result, error) {
 	res.Stats.Malicious = len(malicious)
 	parallel.ForEach(len(malicious), cfg.Workers, 1, func(_, k int) {
 		ci := malicious[k]
-		sig, err := generateSignature(&res.Clusters[ci], inputs, cfg)
+		sig, err := generateSignature(&res.Clusters[ci], inputs, symsOf, cfg)
 		// A failed generation (short common runs happen occasionally)
 		// leaves the cluster labeled but unsignatured.
 		sigResults[ci] = sigResult{sig: sig, ok: err == nil}
@@ -516,23 +531,6 @@ func FingerprintCached(cache *contentcache.Cache, scratch *winnow.Scratch, text 
 	}).(fingerprintEntry).hist
 }
 
-// tokensCached lexes a document to its full token stream through the
-// cache. Only signature-stage sample documents take this path (a bounded
-// set per batch), so the retained token slices stay small relative to the
-// content budget; siggen reads streams without mutating them, so sharing
-// one slice across clusters and runs is safe.
-func tokensCached(p ingest.Profile, cache *contentcache.Cache, content string) []jstoken.Token {
-	key := contentcache.KeyOf(profiledKind(kindTokens, p), content)
-	return cache.GetOrCompute(key, content, func(cached any, hit bool) (any, int, bool) {
-		if hit {
-			return cached, 0, false
-		}
-		tokens := p.LexDocument(content)
-		// A Token is 32 bytes — the stream dwarfs its key content.
-		return tokens, 32 * len(tokens), true
-	}).([]jstoken.Token)
-}
-
 // labelClusters unpacks each merged cluster's prototype and labels it by
 // best winnow overlap against the corpus. Clusters are independent, so
 // labeling fans out across the worker pool with per-worker winnow
@@ -617,10 +615,11 @@ func bestMatchCached(cache *contentcache.Cache, scratch *winnow.Scratch, corpus 
 }
 
 // generateSignature runs siggen over (a capped number of) the cluster's
-// packed token streams. Token values are materialized here, on demand, for
-// just the sampled documents — the tokenize stage no longer retains any
-// token slices.
-func generateSignature(cl *Cluster, inputs []Input, cfg Config) (siggen.Signature, error) {
+// packed samples. The common run is found on each sample's symbol
+// sequence (symsOf, indexed by input), and token values are lexed here,
+// on demand, only for the run's offsets in each sampled document: no
+// stage retains a full token stream.
+func generateSignature(cl *Cluster, inputs []Input, symsOf func(int) []jstoken.Symbol, cfg Config) (siggen.Signature, error) {
 	limit := cfg.MaxSignatureSamples
 	if limit <= 0 {
 		limit = 24
@@ -655,11 +654,14 @@ func generateSignature(cl *Cluster, inputs []Input, cfg Config) (siggen.Signatur
 				return e, 0, false
 			}
 		}
-		streams := make([][]jstoken.Token, 0, len(pick))
-		for _, si := range pick {
-			streams = append(streams, tokensCached(cfg.profile(), cfg.Cache, inputs[si].Content))
+		seqs := make([][]jstoken.Symbol, len(pick))
+		for k, si := range pick {
+			seqs[k] = symsOf(si)
 		}
-		sig, err := siggen.Generate(cl.Label, streams, cfg.Signature)
+		prof := cfg.profile()
+		sig, err := siggen.GenerateWindows(cl.Label, seqs, func(k, lo, hi int) []jstoken.Token {
+			return prof.LexDocumentWindow(inputs[pick[k]].Content, lo, hi)
+		}, cfg.Signature)
 		if err != nil {
 			genErr = fmt.Errorf("cluster with %d samples: %w", len(cl.Samples), err)
 			return signatureEntry{}, 0, false

@@ -3,6 +3,7 @@ package siggen
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
@@ -10,9 +11,9 @@ import (
 	"testing"
 
 	"kizzle/internal/ekit"
+	"kizzle/internal/ingest"
 	"kizzle/internal/jstoken"
 	"kizzle/internal/phishkit"
-	"kizzle/internal/webkittoken"
 )
 
 // referenceFindCommonRun is the paper's naive search, kept as the oracle
@@ -145,29 +146,65 @@ func junkDoc(doc string, rng *rand.Rand) string {
 	return sb.String()
 }
 
+// kitCluster is one cluster of signature inputs: its documents and the
+// ingest profile that lexes them.
+type kitCluster struct {
+	profile ingest.Profile
+	docs    []string
+}
+
+// tokens lexes every document in full, the input Generate takes.
+func (c kitCluster) tokens() [][]jstoken.Token {
+	out := make([][]jstoken.Token, len(c.docs))
+	for i, doc := range c.docs {
+		out[i] = c.profile.LexDocument(doc)
+	}
+	return out
+}
+
+// symbols lexes every document straight to its symbol sequence through
+// one profile scratch, as the pipeline's cluster stage does before it
+// caches them.
+func (c kitCluster) symbols() [][]jstoken.Symbol {
+	sc := c.profile.NewScratch()
+	out := make([][]jstoken.Symbol, len(c.docs))
+	for i, doc := range c.docs {
+		out[i] = sc.AppendSymbols(nil, doc)
+	}
+	return out
+}
+
+// window lexes tokens lo through hi-1 of document i, as the pipeline's
+// signature stage does.
+func (c kitCluster) window(i, lo, hi int) []jstoken.Token {
+	return c.profile.LexDocumentWindow(c.docs[i], lo, hi)
+}
+
 // kitClusters returns signature inputs shaped like the pipeline's: for
 // every exploit-kit and phishing-kit family, 24 junk-insertion variants
 // of the family's packed samples (the pipeline's per-cluster sample cap),
 // and 24 identical copies of one packed sample.
-func kitClusters() map[string][][]jstoken.Token {
+func kitClusters() map[string]kitCluster {
 	rng := rand.New(rand.NewSource(19))
 	day := ekit.Date(8, 12)
-	out := map[string][][]jstoken.Token{}
+	js := ingest.Default()
+	webkit, _ := ingest.Lookup("webkit")
+	out := map[string]kitCluster{}
 	for _, fam := range ekit.Families {
 		payload := ekit.Payload(fam, day)
-		var junk, same [][]jstoken.Token
+		junk, same := kitCluster{profile: js}, kitCluster{profile: js}
 		for i := 0; i < 24; i++ {
-			junk = append(junk, jstoken.Lex(junkDoc(ekit.Pack(fam, payload, day, i), rng)))
-			same = append(same, jstoken.Lex(ekit.Pack(fam, payload, day, 0)))
+			junk.docs = append(junk.docs, junkDoc(ekit.Pack(fam, payload, day, i), rng))
+			same.docs = append(same.docs, ekit.Pack(fam, payload, day, 0))
 		}
 		out[fam.String()+"/junk"], out[fam.String()+"/identical"] = junk, same
 	}
 	for _, fam := range phishkit.Families {
 		payload := phishkit.Payload(fam, day)
-		var junk, same [][]jstoken.Token
+		junk, same := kitCluster{profile: webkit}, kitCluster{profile: webkit}
 		for i := 0; i < 24; i++ {
-			junk = append(junk, webkittoken.LexDocument(junkDoc(phishkit.Pack(fam, payload, day, i), rng)))
-			same = append(same, webkittoken.LexDocument(phishkit.Pack(fam, payload, day, 0)))
+			junk.docs = append(junk.docs, junkDoc(phishkit.Pack(fam, payload, day, i), rng))
+			same.docs = append(same.docs, phishkit.Pack(fam, payload, day, 0))
 		}
 		out[fam.String()+"/junk"], out[fam.String()+"/identical"] = junk, same
 	}
@@ -206,8 +243,8 @@ func TestFindCommonRunMatchesReference(t *testing.T) {
 		}
 		checkAgainstReference(t, fmt.Sprintf("trial %d %v", trial, seqs), seqs, 1+rng.Intn(4), 1+rng.Intn(30))
 	}
-	for name, samples := range kitClusters() {
-		seqs := abstractAll(samples)
+	for name, c := range kitClusters() {
+		seqs := abstractAll(c.tokens())
 		cfg := DefaultConfig()
 		checkAgainstReference(t, name, seqs, cfg.MinTokens, cfg.MaxTokens)
 		checkAgainstReference(t, name+" min 1", seqs, 1, cfg.MaxTokens)
@@ -217,11 +254,23 @@ func TestFindCommonRunMatchesReference(t *testing.T) {
 }
 
 // TestGenerateMatchesReference: signatures built on the indexed search
-// are byte-identical, as JSON, to signatures built on the naive one.
+// are byte-identical, as JSON, to signatures built on the naive one, and
+// GenerateWindows — over the symbol sequences the pipeline caches and
+// token windows lexed for just the common run — builds the same bytes as
+// Generate over full token streams.
 func TestGenerateMatchesReference(t *testing.T) {
 	cfg := DefaultConfig()
-	for name, samples := range kitClusters() {
+	for name, c := range kitClusters() {
+		samples := c.tokens()
 		got, err := Generate(name, samples, cfg)
+		win, werr := GenerateWindows(name, c.symbols(), c.window, cfg)
+		if werr != err {
+			t.Fatalf("%s: GenerateWindows error %v, Generate error %v", name, werr, err)
+		}
+		gj, _ := json.Marshal(got)
+		if wj, _ := json.Marshal(win); !bytes.Equal(gj, wj) {
+			t.Fatalf("%s: GenerateWindows\n%s\nGenerate\n%s", name, wj, gj)
+		}
 		run, ok := referenceFindCommonRun(abstractAll(samples), cfg.MinTokens, cfg.MaxTokens)
 		if !ok {
 			if err != ErrNoCommonRun {
@@ -234,11 +283,73 @@ func TestGenerateMatchesReference(t *testing.T) {
 		}
 		var gs groupState
 		want := Signature{Family: name, Elements: gs.build(samples, run, cfg), Samples: len(samples)}
-		gj, _ := json.Marshal(got)
-		wj, _ := json.Marshal(want)
-		if !bytes.Equal(gj, wj) {
+		if wj, _ := json.Marshal(want); !bytes.Equal(gj, wj) {
 			t.Fatalf("%s: signature\n%s\nreference\n%s", name, gj, wj)
 		}
+	}
+}
+
+// TestGenerateWindowsMatchesGenerate pins GenerateWindows to Generate, as
+// JSON, on random documents over a tiny alphabet of code and markup
+// fragments under both ingest profiles: the common runs land anywhere,
+// and windows cut through regex/division ambiguities, scripts and tags.
+func TestGenerateWindowsMatchesGenerate(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	webkit, _ := ingest.Lookup("webkit")
+	profiles := []ingest.Profile{ingest.Default(), webkit}
+	fragments := []string{"a", "b", "/", "(", ")", "=", ";", " ", "1", "'x'", "\n", "<p>", "</p>", "<script>", "</script>", "<?php ", "?>"}
+	text := func(n int) string {
+		var sb strings.Builder
+		for range n {
+			sb.WriteString(fragments[rng.Intn(len(fragments))])
+		}
+		return sb.String()
+	}
+	signed := 0
+	for trial := 0; trial < 2000; trial++ {
+		c := kitCluster{profile: profiles[trial%2]}
+		common := text(rng.Intn(16))
+		for range 1 + rng.Intn(5) {
+			c.docs = append(c.docs, text(rng.Intn(12))+common+text(rng.Intn(12)))
+		}
+		cfg := Config{MinTokens: 1 + rng.Intn(4), MaxTokens: 1 + rng.Intn(30), MaxLiteral: 64}
+		got, err := Generate("tiny", c.tokens(), cfg)
+		win, werr := GenerateWindows("tiny", c.symbols(), c.window, cfg)
+		gj, _ := json.Marshal(got)
+		wj, _ := json.Marshal(win)
+		if werr != err || !bytes.Equal(gj, wj) {
+			t.Fatalf("trial %d (%s, %+v, %q):\nGenerateWindows %v %s\nGenerate        %v %s", trial, c.profile.ID(), cfg, c.docs, werr, wj, err, gj)
+		}
+		if err == nil {
+			signed++
+		}
+	}
+	// Most trials must build a signature, or the pin compares errors only.
+	if signed < 1000 {
+		t.Fatalf("%d of 2000 trials built a signature", signed)
+	}
+}
+
+// TestGenerateWindowsRejectsDrift: a token window whose symbols are not
+// the run it was asked for fails generation instead of building a
+// signature from the wrong tokens.
+func TestGenerateWindowsRejectsDrift(t *testing.T) {
+	samples := figure9Samples()
+	// Sample 1's window reads its first identifier as a number.
+	reclassed := func(i, lo, hi int) []jstoken.Token {
+		w := slices.Clone(samples[i][lo:hi])
+		if i == 1 {
+			w[0] = jstoken.MakeToken(jstoken.ClassNumber, "1", w[0].Pos, jstoken.SymNumber)
+		}
+		return w
+	}
+	cfg := Config{MinTokens: 3, MaxTokens: 200}
+	if _, err := GenerateWindows("Figure9", abstractAll(samples), reclassed, cfg); !errors.Is(err, ErrWindowDrift) {
+		t.Fatalf("reclassed window: error %v, want ErrWindowDrift", err)
+	}
+	short := func(i, lo, hi int) []jstoken.Token { return samples[i][lo : hi-1] }
+	if _, err := GenerateWindows("Figure9", abstractAll(samples), short, cfg); !errors.Is(err, ErrWindowDrift) {
+		t.Fatalf("short window: error %v, want ErrWindowDrift", err)
 	}
 }
 

@@ -370,6 +370,48 @@ func BenchmarkGenerate(b *testing.B) {
 	}
 }
 
+// BenchmarkGenerateWindows times signature generation the way the
+// pipeline runs it, on 24 junk-insertion variants of the Sweet Orange and
+// Angler kits: "windows" starts from the symbol sequences the cluster
+// stage caches and lexes token values for the common run only;
+// "whole-stream" lexes every sample's full token stream first and calls
+// Generate. Their B/op difference is what whole-stream lexing costs.
+func BenchmarkGenerateWindows(b *testing.B) {
+	rng := rand.New(rand.NewSource(29))
+	day := ekit.Date(8, 12)
+	for _, fam := range []ekit.Family{ekit.FamilySweetOrange, ekit.FamilyAngler} {
+		payload := ekit.Payload(fam, day)
+		docs := make([]string, 24)
+		seqs := make([][]jstoken.Symbol, len(docs))
+		var sc jstoken.Scratch
+		for i := range docs {
+			docs[i] = junkDoc(ekit.Pack(fam, payload, day, i), rng)
+			seqs[i] = sc.AppendSymbols(nil, docs[i])
+		}
+		window := func(i, lo, hi int) []jstoken.Token { return jstoken.LexDocumentWindow(docs[i], lo, hi) }
+		b.Run(fam.String()+"/windows", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := GenerateWindows(fam.String(), seqs, window, DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(fam.String()+"/whole-stream", func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				samples := make([][]jstoken.Token, len(docs))
+				for k, doc := range docs {
+					samples[k] = jstoken.LexDocument(doc)
+				}
+				if _, err := Generate(fam.String(), samples, DefaultConfig()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFindCommonRun times the common-run search at the pipeline's
 // 24-sample cap on the four exploit kits, one search per kit per op:
 // identical samples, where the first candidate of every probe wins, and

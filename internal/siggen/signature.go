@@ -124,16 +124,33 @@ type Config struct {
 // DefaultConfig matches the paper's parameters.
 func DefaultConfig() Config { return Config{MinTokens: 10, MaxTokens: 200, MaxLiteral: 64} }
 
-// Errors returned by Generate.
+// Errors returned by Generate and GenerateWindows.
 var (
 	ErrNoCommonRun = errors.New("siggen: no sufficiently long unique common token run")
 	ErrNoSamples   = errors.New("siggen: cluster has no samples")
+	// ErrWindowDrift reports a token window whose symbols are not the
+	// common run it was cut for: the symbol and token lexers disagree.
+	ErrWindowDrift = errors.New("siggen: token window does not match its symbol run")
 )
 
 // Generate builds a signature from the tokenized packed samples of one
 // malicious cluster.
 func Generate(family string, samples [][]jstoken.Token, cfg Config) (Signature, error) {
-	if len(samples) == 0 {
+	seqs := make([][]jstoken.Symbol, len(samples))
+	for i, s := range samples {
+		seqs[i] = jstoken.Abstract(s)
+	}
+	return GenerateWindows(family, seqs, func(i, lo, hi int) []jstoken.Token { return samples[i][lo:hi] }, cfg)
+}
+
+// GenerateWindows builds the signature Generate builds, from the
+// samples' abstract symbol sequences and only the token values it uses:
+// the common run is found on seqs (Fig. 9 works on abstract tokens), and
+// window(i, lo, hi) is asked once per sample for tokens lo through hi-1
+// of sample i, the run's own offsets. A window whose symbols differ from
+// seqs[i][lo:hi] fails generation with ErrWindowDrift.
+func GenerateWindows(family string, seqs [][]jstoken.Symbol, window func(i, lo, hi int) []jstoken.Token, cfg Config) (Signature, error) {
+	if len(seqs) == 0 {
 		return Signature{}, ErrNoSamples
 	}
 	if cfg.MinTokens <= 0 {
@@ -142,18 +159,35 @@ func Generate(family string, samples [][]jstoken.Token, cfg Config) (Signature, 
 	if cfg.MaxTokens <= 0 {
 		cfg.MaxTokens = DefaultConfig().MaxTokens
 	}
-	seqs := make([][]jstoken.Symbol, len(samples))
-	for i, s := range samples {
-		seqs[i] = jstoken.Abstract(s)
-	}
 	run, ok := FindCommonRun(seqs, cfg.MinTokens, cfg.MaxTokens)
 	if !ok {
 		return Signature{}, ErrNoCommonRun
 	}
+	windows := make([][]jstoken.Token, len(seqs))
+	for i, start := range run.Starts {
+		w := window(i, start, start+run.Length)
+		if !windowMatches(w, seqs[i][start:start+run.Length]) {
+			return Signature{}, fmt.Errorf("%w: sample %d, tokens [%d, %d)", ErrWindowDrift, i, start, start+run.Length)
+		}
+		windows[i] = w
+	}
 
 	var gs groupState
-	elements := gs.build(samples, run, cfg)
-	return Signature{Family: family, Elements: elements, Samples: len(samples)}, nil
+	elements := gs.build(windows, CommonRun{Length: run.Length, Starts: make([]int, len(seqs))}, cfg)
+	return Signature{Family: family, Elements: elements, Samples: len(seqs)}, nil
+}
+
+// windowMatches reports whether tokens abstract to exactly syms.
+func windowMatches(tokens []jstoken.Token, syms []jstoken.Symbol) bool {
+	if len(tokens) != len(syms) {
+		return false
+	}
+	for i := range tokens {
+		if tokens[i].Symbol() != syms[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // groupState carries capture-group numbering across element construction —

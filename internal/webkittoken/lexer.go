@@ -22,6 +22,20 @@ func Lex(src string) []jstoken.Token {
 // profiles expose a uniform surface.
 func LexDocument(doc string) []jstoken.Token { return Lex(doc) }
 
+// LexDocumentWindow returns tokens lo through hi-1 of LexDocument(doc)
+// without storing the others: tokens before lo are lexed and counted,
+// and lexing stops once token hi-1 is out. A negative lo counts as 0; a
+// window past the last token is cut at it.
+func LexDocumentWindow(doc string, lo, hi int) []jstoken.Token {
+	lo = max(lo, 0)
+	if hi <= lo {
+		return nil
+	}
+	lx := lexer{src: DecodeEntities(doc), lo: lo, hi: hi}
+	lx.run()
+	return lx.tokens
+}
+
 // LexSymbols tokenizes straight to abstraction symbols without
 // materializing tokens. Character references decode first, exactly as
 // in Lex.
@@ -46,6 +60,9 @@ type lexer struct {
 	tokens   []jstoken.Token
 	syms     []jstoken.Symbol
 	symsOnly bool
+	// n counts the tokens emitted so far. Only tokens with index in
+	// [lo, hi) are stored; hi 0 means no upper bound (a full lex).
+	n, lo, hi int
 }
 
 // emitRange records one token spanning src[start:end]. Every emit (and
@@ -55,7 +72,15 @@ func (lx *lexer) emitRange(class jstoken.Class, start, end int, sym jstoken.Symb
 		lx.syms = append(lx.syms, sym)
 		return
 	}
-	lx.tokens = append(lx.tokens, jstoken.MakeToken(class, lx.src[start:end], start, sym))
+	if lx.n >= lx.lo {
+		lx.tokens = append(lx.tokens, jstoken.MakeToken(class, lx.src[start:end], start, sym))
+	}
+	if lx.n++; lx.n == lx.hi {
+		// The window is full. Every scan loop is bounded by the input
+		// length, so moving to its end unwinds them all without another
+		// emit.
+		lx.pos = len(lx.src)
+	}
 }
 
 func (lx *lexer) emitPunct(start int, p string) {

@@ -1,6 +1,7 @@
 package webkittoken
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -29,9 +30,6 @@ func TestLexAlphabetAndDeterminism(t *testing.T) {
 	for i, tok := range tokens {
 		if s := tok.Symbol(); s >= space {
 			t.Fatalf("token %d (%q) symbol %d outside alphabet [0, %d)", i, tok.Text, s, space)
-		}
-		if got := SymbolFor(tok.Class, tok.Text); got != tok.Symbol() {
-			t.Fatalf("token %d (%q): cached symbol %d, SymbolFor recomputes %d", i, tok.Text, tok.Symbol(), got)
 		}
 	}
 
@@ -77,27 +75,6 @@ func TestLexAlphabetAndDeterminism(t *testing.T) {
 		if !seenPunct[p] {
 			t.Errorf("punctuator %q not lexed as ClassPunct", p)
 		}
-	}
-}
-
-// TestSymbolForUnknownFallsBack: texts outside the fixed keyword and
-// punctuator tables must collapse to SymIdentifier rather than invent
-// out-of-alphabet symbols (the cache-restore path depends on it).
-func TestSymbolForUnknownFallsBack(t *testing.T) {
-	for _, tc := range []struct {
-		class jstoken.Class
-		text  string
-	}{
-		{jstoken.ClassKeyword, "notakeyword"},
-		{jstoken.ClassPunct, "§"},
-		{jstoken.Class(99), "x"},
-	} {
-		if got := SymbolFor(tc.class, tc.text); got != jstoken.SymIdentifier {
-			t.Errorf("SymbolFor(%v, %q) = %d, want SymIdentifier", tc.class, tc.text, got)
-		}
-	}
-	if SymbolFor(jstoken.ClassText, "hello world") != SymText {
-		t.Error("text runs must collapse to SymText")
 	}
 }
 
@@ -167,17 +144,18 @@ func b64(s string) string {
 // HTML/PHP/JS lexer and the base64 unpacker — with attacker-shaped
 // documents. Phishing pages are the most hostile bytes the pipeline
 // sees; neither stage may panic, every emitted symbol must stay inside
-// the declared alphabet, and lexing must be deterministic.
+// the declared alphabet, and lexing must be deterministic. The windowed
+// lex must return exactly Lex(doc)[lo:hi], cut to the token count.
 func FuzzWebkitTokenize(f *testing.F) {
-	f.Add("<html><body>hi</body></html>")
-	f.Add("<?php echo base64_decode(\"dmFy\"); ?>")
-	f.Add("<script>var x = '</script><script>'</script>")
-	f.Add("<div class=\"a\" onclick='f(")
-	f.Add("<?= $x ?><?php if ($a): ?><b><?php endif")
-	f.Add("<!-- <script> --><input type=text value=\"\x00\xff\">")
-	f.Add("base64_decode(\"" + strings.Repeat("dmFy", 500) + "\")")
-	f.Add("<a href=\"javascript:eval('\\u0041')\">»</a>")
-	f.Fuzz(func(t *testing.T, doc string) {
+	f.Add("<html><body>hi</body></html>", 1, 4)
+	f.Add("<?php echo base64_decode(\"dmFy\"); ?>", 2, 5)
+	f.Add("<script>var x = '</script><script>'</script>", 4, 12)
+	f.Add("<div class=\"a\" onclick='f(", 0, 3)
+	f.Add("<?= $x ?><?php if ($a): ?><b><?php endif", 5, 100)
+	f.Add("<!-- <script> --><input type=text value=\"\x00\xff\">", -1, 1)
+	f.Add("base64_decode(\""+strings.Repeat("dmFy", 500)+"\")", 1, 2)
+	f.Add("<a href=\"javascript:eval('\\u0041')\">»</a>", 3, 3)
+	f.Fuzz(func(t *testing.T, doc string, lo, hi int) {
 		syms := LexSymbols(doc)
 		space := jstoken.Symbol(SymbolSpace())
 		for i, s := range syms {
@@ -194,6 +172,11 @@ func FuzzWebkitTokenize(f *testing.F) {
 			if fromTokens[i] != syms[i] {
 				t.Fatalf("symbol %d: Lex=%d LexSymbols=%d", i, fromTokens[i], syms[i])
 			}
+		}
+		a := min(max(lo, 0), len(tokens))
+		want := tokens[a:min(max(hi, a), len(tokens))]
+		if got := LexDocumentWindow(doc, lo, hi); !slices.Equal(got, want) {
+			t.Fatalf("window [%d, %d) of %d tokens: got %v, want %v", lo, hi, len(tokens), got, want)
 		}
 		if payload, err := Unpack(doc); err == nil {
 			// Whatever the unpacker recovered must itself lex cleanly.

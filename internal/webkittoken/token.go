@@ -76,35 +76,6 @@ func punctSymbol(i int) jstoken.Symbol {
 	return symbolBase + jstoken.Symbol(len(keywords)) + jstoken.Symbol(i)
 }
 
-// SymbolFor recomputes the abstraction symbol the lexer would have cached
-// on a token of the given class and text. Cache codecs use it to restore
-// webkit symbols on tokens decoded from disk (the persisted form drops
-// the cached symbol), keeping warm and cold runs bit-identical.
-func SymbolFor(class jstoken.Class, text string) jstoken.Symbol {
-	switch class {
-	case jstoken.ClassText:
-		return SymText
-	case jstoken.ClassIdentifier:
-		return jstoken.SymIdentifier
-	case jstoken.ClassString:
-		return jstoken.SymString
-	case jstoken.ClassNumber:
-		return jstoken.SymNumber
-	case jstoken.ClassKeyword:
-		if i, ok := keywordIndex[text]; ok {
-			return keywordSymbol(i)
-		}
-		return jstoken.SymIdentifier
-	case jstoken.ClassPunct:
-		if i, ok := punctIndex[text]; ok {
-			return punctSymbol(i)
-		}
-		return jstoken.SymIdentifier
-	default:
-		return jstoken.SymIdentifier
-	}
-}
-
 // IsKeyword reports whether word is lexed as a webkit keyword.
 func IsKeyword(word string) bool {
 	_, ok := keywordIndex[word]
